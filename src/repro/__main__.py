@@ -37,17 +37,12 @@ Commands:
                                cold-start ratio, p99 E2E, fleet dedup
                                factor, and bytes per tier; --quick
                                shrinks it to CI size
-  bench [--quick]              run the perf-trajectory harness: pinned
-                               figure cells + the eBPF tier
-                               microbenchmark, written to BENCH_*.json;
-                               --compare gates on a committed baseline
   serve --attach STATE.json    serve the live control-room dashboard for
                                a run started elsewhere with
                                --serve-state (HTTP + SSE + /metrics)
 
-``run``, ``fig``, ``chaos``, ``cluster``, ``traffic``, ``storage``,
-and ``bench`` share the sweep
-flags (one parent parser, resolved into a single
+``run``, ``fig``, ``chaos``, ``cluster``, ``traffic`` and ``storage``
+share the sweep flags (one parent parser, resolved into a single
 :class:`~repro.harness.sweep.SweepOptions` value handed to the runners):
 ``--jobs N`` fans independent scenario cells out over N worker
 processes (results are byte-identical for every N), ``--cache-dir DIR``
@@ -90,7 +85,6 @@ Examples:
   python -m repro traffic json snapbpf --rps 500 --duration 30
   python -m repro storage --jobs 4 --cache-dir .sweep-cache
   python -m repro storage json snapbpf --tiers local,remote --quick
-  python -m repro bench --quick --compare BENCH_9.json
   python -m repro fig --all --serve --serve-port 8040
   python -m repro fig --all --serve-state /tmp/repro-state.json &
   python -m repro serve --attach /tmp/repro-state.json --port 8040
@@ -637,48 +631,6 @@ def cmd_storage(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Run the perf-trajectory harness and optionally gate on the
-    committed ``BENCH_*.json`` baseline (CI smoke: ``bench --quick
-    --compare BENCH_8.json``)."""
-    from repro.harness import bench as B
-
-    opts = SweepOptions.from_args(args)
-    serving = _ServeContext(opts)
-    try:
-        report = B.run_bench(
-            quick=args.quick,
-            progress=lambda msg: print(f"bench: {msg}", file=sys.stderr))
-    finally:
-        serving.finish()
-    print(B.render_bench(report))
-    out = args.out
-    if out is None and not args.quick:
-        # A full run refreshes the committed trajectory by default; a
-        # --quick run never clobbers it unless --out says so.
-        out = B.DEFAULT_BENCH_PATH
-    if out:
-        B.write_bench(report, out)
-        print(f"bench: wrote {out}", file=sys.stderr)
-    if args.compare:
-        try:
-            baseline = B.load_bench(args.compare)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load baseline {args.compare!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        regressions = B.compare(report, baseline,
-                                threshold=args.regression_threshold)
-        if regressions:
-            for line in regressions:
-                print(f"bench regression: {line}", file=sys.stderr)
-            return 1
-        print(f"bench: no regression vs {args.compare} "
-              f"(threshold {args.regression_threshold:.0%})",
-              file=sys.stderr)
-    return 0
-
-
 def cmd_serve(args) -> int:
     """Attach mode: serve the dashboard for a run publishing its state
     elsewhere (``--serve-state``), until SIGINT/SIGTERM (exit 0)."""
@@ -949,27 +901,6 @@ def main(argv: list[str] | None = None) -> int:
         help="CI-sized workload (2 nodes, 2 function clones, 3s "
              "stream) instead of the committed figure scale")
 
-    bench_parser = sub.add_parser(
-        "bench", help="run the perf-trajectory harness (BENCH_*.json)",
-        parents=[sweep_flags])
-    bench_parser.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke subset: quick-eligible cells and a shorter "
-             "microbench; never overwrites the committed file unless "
-             "--out says so")
-    bench_parser.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the JSON report here (default: the committed "
-             "trajectory file for full runs, nothing for --quick)")
-    bench_parser.add_argument(
-        "--compare", default=None, metavar="PATH",
-        help="load a baseline report and exit 1 on regression")
-    bench_parser.add_argument(
-        "--regression-threshold", type=float, default=0.30,
-        metavar="FRAC",
-        help="events/sec drop that counts as a regression (default: "
-             "0.30)")
-
     serve_parser = sub.add_parser(
         "serve", help="serve the control-room dashboard for a run "
                       "publishing --serve-state elsewhere")
@@ -991,16 +922,10 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    threshold = getattr(args, "regression_threshold", None)
-    if threshold is not None and not 0 < threshold < 1:
-        print(f"error: --regression-threshold must be in (0, 1), "
-              f"got {threshold}", file=sys.stderr)
-        return 2
     handler = {"list": cmd_list, "run": cmd_run, "table1": cmd_table1,
                "fig": cmd_fig, "chaos": cmd_chaos, "trace": cmd_trace,
                "cluster": cmd_cluster, "traffic": cmd_traffic,
-               "storage": cmd_storage, "bench": cmd_bench,
-               "serve": cmd_serve}[args.command]
+               "storage": cmd_storage, "serve": cmd_serve}[args.command]
     try:
         return handler(args)
     except SweepFailure as exc:

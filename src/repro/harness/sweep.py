@@ -885,8 +885,8 @@ class SweepOptions:
     value.
 
     Every sweeping entry point (the ``run``/``fig``/``chaos``/
-    ``cluster``/``bench`` CLI commands, and any library caller that
-    wants CLI-equivalent behaviour) accepts the same knobs; this
+    ``cluster``/``traffic``/``storage`` CLI commands, and any library
+    caller that wants CLI-equivalent behaviour) accepts the same knobs; this
     dataclass is the single definition of their names and defaults, so
     a new command inherits the whole surface by calling
     :meth:`from_args` on a namespace parsed with the shared parent

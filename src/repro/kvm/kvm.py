@@ -23,13 +23,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.guest.kernel import is_mirrored, unmirror_gfn
+from repro.guest.kernel import MIRROR_BIT, unmirror_gfn
 from repro.mm.address_space import AddressSpace
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class EptEntry:
     writable: bool
+
+
+#: The only two EPT entries there are: every mapping shares one of them.
+EPT_READ_ONLY = EptEntry(writable=False)
+EPT_WRITABLE = EptEntry(writable=True)
 
 
 def _force_write_hash(vm_seed: int, gfn: int) -> int:
@@ -83,18 +88,23 @@ class KVM:
 
     def nested_fault(self, gfn: int, is_write: bool):
         """Generator: handle one EPT violation; returns CPU seconds."""
-        costs = self.kernel.costs
         self.stats_nested_faults += 1
-        cost = costs.ept_fault
+        cost = self.kernel.costs.ept_fault
 
-        if is_mirrored(gfn):
+        if gfn & MIRROR_BIT:
             if not self.pv_enabled:
                 raise RuntimeError(
                     "guest used a mirrored gPFN but host PV support is off")
             cost += self._pv_fault(gfn)
             return cost
 
-        vpn = self.host_vpn(gfn)
+        # host_vpn() for an unmirrored gfn, inlined on the fault path.
+        if gfn >= self.mem_pages:
+            raise ValueError(f"gfn {gfn:#x} beyond guest memory "
+                             f"({self.mem_pages} pages)")
+        vpn = self.guest_base_vpn + gfn
+        space = self.space
+        pt = space.pt
         effective_write = is_write
         if (not is_write and not self.patched_cow
                 and _force_write_hash(self.vm_seed, gfn)
@@ -104,23 +114,22 @@ class KVM:
             effective_write = True
             self.stats_forced_writes += 1
 
-        cost += yield from self.space.handle_fault(vpn, effective_write)
-        pte = self.space.pte(vpn)
+        cost += yield from space.handle_fault(vpn, effective_write)
+        pte = pt.get(vpn)
         if pte is None:
             # uffd race: handler resolved a different page / VM teardown.
-            cost += yield from self.space.handle_fault(vpn, effective_write)
-            pte = self.space.pte(vpn)
+            cost += yield from space.handle_fault(vpn, effective_write)
+            pte = pt.get(vpn)
             if pte is None:
                 raise RuntimeError(f"host fault did not map vpn {vpn:#x}")
         if is_write and not pte.writable:
-            cost += yield from self.space.handle_fault(vpn, True)
-            pte = self.space.pte(vpn)
+            cost += yield from space.handle_fault(vpn, True)
+            pte = pt.get(vpn)
 
         # Patched KVM: opportunistically write-map read faults only when
         # the host page is already writable; stock KVM write-maps
         # whenever it (forcibly) write-faulted.
-        writable = pte.writable
-        self.ept[gfn] = EptEntry(writable=writable)
+        self.ept[gfn] = EPT_WRITABLE if pte.writable else EPT_READ_ONLY
         return cost
 
     def _pv_fault(self, gfn: int) -> float:
@@ -143,6 +152,6 @@ class KVM:
                     self.kernel.frames.free(old.frame)
             cost += self.space.install_anon(vpn, content=0, writable=True)
         # Map the anonymous page under both gPFNs (paper Fig. 2, step 6).
-        self.ept[gfn] = EptEntry(writable=True)
-        self.ept[real] = EptEntry(writable=True)
+        self.ept[gfn] = EPT_WRITABLE
+        self.ept[real] = EPT_WRITABLE
         return cost

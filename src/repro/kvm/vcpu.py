@@ -71,23 +71,35 @@ class VCpu:
             yield self.env.timeout(acc)
 
     def _touch_range(self, gfns, write: bool, per_page: float, acc: float):
-        """Generator: access each gfn; returns the new CPU accumulator."""
+        """Generator: access each gfn; returns the new CPU accumulator.
+
+        The per-page sums run in locals and are written back to
+        ``stats`` on exit, interrupted or not: the same additions in the
+        same order as summing into ``stats`` directly."""
         kvm = self.kvm
         ept = kvm.ept
         env = self.env
         stats = self.stats
-        for gfn in gfns:
-            acc += per_page
-            stats.compute_seconds += per_page
-            entry = ept.get(gfn)
-            if entry is not None and (not write or entry.writable):
-                continue  # EPT hit: no overhead, stay on the fast path
-            if acc > FLUSH_THRESHOLD:
-                yield env.timeout(acc)
-                acc = 0.0
-            before = env.now
-            cost = yield from kvm.nested_fault(gfn, write)
-            stats.stall_seconds += env.now - before
-            acc += cost
-            stats.overhead_seconds += cost
+        compute = stats.compute_seconds
+        overhead = stats.overhead_seconds
+        stall = stats.stall_seconds
+        try:
+            for gfn in gfns:
+                acc += per_page
+                compute += per_page
+                entry = ept.get(gfn)
+                if entry is not None and (not write or entry.writable):
+                    continue  # EPT hit: no overhead, stay on the fast path
+                if acc > FLUSH_THRESHOLD:
+                    yield env.timeout(acc)
+                    acc = 0.0
+                before = env.now
+                cost = yield from kvm.nested_fault(gfn, write)
+                stall += env.now - before
+                acc += cost
+                overhead += cost
+        finally:
+            stats.compute_seconds = compute
+            stats.overhead_seconds = overhead
+            stats.stall_seconds = stall
         return acc

@@ -18,6 +18,7 @@ cumulative bucket counts (upper-bound rule, clamped to the observed max).
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Callable
 
 #: The Content-Type a Prometheus scraper expects for the text format.
@@ -145,27 +146,14 @@ class Histogram(Metric):
                 self._observe(value)
 
     def _observe(self, value: float) -> None:
-        self._counts[self._bucket_index(value)] += 1
+        # The first bucket whose bound is >= value, or the overflow one.
+        self._counts[bisect_left(self.bounds, value)] += 1
         self._count += 1
         self._sum += value
         if value < self._min:
             self._min = value
         if value > self._max:
             self._max = value
-
-    def _bucket_index(self, value: float) -> int:
-        if value <= self.bounds[0]:
-            return 0
-        if value > self.bounds[-1]:
-            return len(self.bounds)
-        lo, hi = 0, len(self.bounds) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
 
     # -- reads -------------------------------------------------------------
     @property

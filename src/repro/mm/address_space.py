@@ -92,6 +92,10 @@ class AddressSpace:
         self.pt: dict[int, PTE] = {}
         self._vmas: list[VMA] = []       # sorted by start
         self._starts: list[int] = []
+        #: The VMA of the last fault: guest memory is usually one VMA, so
+        #: this skips the bisect.  Valid because VMAs are only ever added
+        #: (never moved or split) until teardown drops them all.
+        self._last_vma: VMA | None = None
         self._next_va = 1 << 20          # bump allocator for mmap placement
         #: Set by teardown(): late installs from still-running prefetcher
         #: threads become no-ops instead of leaking frames.
@@ -143,13 +147,16 @@ class AddressSpace:
     def teardown(self) -> None:
         """Process exit: drop all mappings, free private anonymous memory."""
         self.dead = True
+        free = self.kernel.frames.free
         for pte in self.pt.values():
-            pte.frame.mapcount -= 1
-            if pte.frame.kind == ANON and pte.frame.mapcount == 0:
-                self.kernel.frames.free(pte.frame)
+            frame = pte.frame
+            frame.mapcount -= 1
+            if frame.kind == ANON and frame.mapcount == 0:
+                free(frame)
         self.pt.clear()
         self._vmas.clear()
         self._starts.clear()
+        self._last_vma = None
 
     # -- direct installs (uffd copy, KVM PV path) -------------------------------
     def install_anon(self, vpn: int, content: int = 0,
@@ -165,7 +172,9 @@ class AddressSpace:
             raise ValueError(f"{self.owner}: page {vpn:#x} already mapped")
         frame = self.kernel.frames.alloc(ANON, content=content,
                                          owner=self.owner)
-        self._map(vpn, frame, writable=writable, cow=False)
+        # _map() without its replace step: vpn was checked unmapped.
+        frame.mapcount += 1
+        self.pt[vpn] = PTE(frame, writable, False)
         fill = (costs.zero_page if content == 0 else costs.memcpy_page)
         return fill + costs.pte_install
 
@@ -192,7 +201,9 @@ class AddressSpace:
             self.stats_minor_faults += 1
             return cost
 
-        vma = self.vma_at(vpn)
+        vma = self._last_vma
+        if vma is None or not vma.start <= vpn < vma.start + vma.npages:
+            vma = self._last_vma = self.vma_at(vpn)
         if vma.uffd is not None:
             self.stats_uffd_faults += 1
             cost += costs.uffd_roundtrip
@@ -203,7 +214,7 @@ class AddressSpace:
             # through to a follow-up fault; callers re-drive.
             return cost
 
-        if vma.is_anon:
+        if vma.file is None:
             cost += self.install_anon(vpn, content=0, writable=True)
             self.stats_minor_faults += 1
             return cost
@@ -236,7 +247,7 @@ class AddressSpace:
         cache = self.kernel.page_cache
         costs = self.kernel.costs
         file = vma.file
-        index = vma.file_index(vpn)
+        index = vma.pgoff + (vpn - vma.start)
         cost = costs.cache_lookup
 
         entry = cache.lookup(file.ino, index)
@@ -275,7 +286,7 @@ class AddressSpace:
             if existing.frame.kind == ANON and existing.frame.mapcount == 0:
                 self.kernel.frames.free(existing.frame)
         frame.mapcount += 1
-        self.pt[vpn] = PTE(frame=frame, writable=writable, cow=cow)
+        self.pt[vpn] = PTE(frame, writable, cow)
 
     def _cow(self, vpn: int, pte: PTE) -> float:
         """Copy-on-write: replace a shared file frame with a private copy."""
@@ -284,7 +295,7 @@ class AddressSpace:
                                          owner=self.owner)
         pte.frame.mapcount -= 1
         frame.mapcount += 1
-        self.pt[vpn] = PTE(frame=frame, writable=True, cow=False)
+        self.pt[vpn] = PTE(frame, True, False)
         self.stats_cow_faults += 1
         return costs.memcpy_page + costs.pte_install
 

@@ -18,6 +18,9 @@ from repro.units import PAGE_SIZE
 ANON = "anon"
 FILE = "file"
 
+#: ``Frame.mapcount`` of a freed frame, so a second free is caught.
+FREED = -1
+
 
 class OutOfMemory(MemoryError):
     """Frame pool exhausted and reclaim could not free enough."""
@@ -33,7 +36,8 @@ class Frame:
     #: Identity of the cached file page, for FILE frames.
     ino: int | None = None
     index: int | None = None
-    #: Number of PTEs (host or nested) referencing this frame.
+    #: Number of PTEs (host or nested) referencing this frame; ``FREED``
+    #: once the allocator has taken it back.
     mapcount: int = 0
     #: Owner tag for ANON frames (VM / process id) — memory attribution.
     owner: str | None = None
@@ -61,6 +65,9 @@ class FrameAllocator:
     ``peak`` tracks the maximum total frames in use since the last
     :meth:`reset_peak`; the concurrent-invocation experiments reset it
     before spawning sandboxes and read it afterwards.
+
+    ``in_use`` always equals ``counters.total``; it is kept as its own
+    int because every allocation reads it.
     """
 
     def __init__(self, total_frames: int):
@@ -68,6 +75,7 @@ class FrameAllocator:
             raise ValueError("frame pool must be positive")
         self.total_frames = total_frames
         self.counters = MemoryCounters()
+        self.in_use = 0
         self.peak_frames = 0
         self._next_pfn = itertools.count()
         self._per_owner: dict[str, int] = {}
@@ -79,10 +87,6 @@ class FrameAllocator:
 
     # -- allocation -----------------------------------------------------------
     @property
-    def in_use(self) -> int:
-        return self.counters.total
-
-    @property
     def free_frames(self) -> int:
         return self.total_frames - self.in_use
 
@@ -90,29 +94,40 @@ class FrameAllocator:
               index: int | None = None, owner: str | None = None) -> Frame:
         if kind not in (ANON, FILE):
             raise ValueError(f"unknown frame kind {kind!r}")
-        if self.reclaimer is not None:
-            self.reclaimer.throttle_alloc()
-        if self.free_frames <= 0:
+        # The reclaim plane acts only with watermarks on, or on a full
+        # pool (direct reclaim); otherwise both of its hooks are no-ops.
+        reclaimer = self.reclaimer
+        watermarks = reclaimer is not None and reclaimer.watermarks is not None
+        if watermarks or (reclaimer is not None
+                          and self.in_use >= self.total_frames):
+            reclaimer.throttle_alloc()
+        in_use = self.in_use
+        if in_use >= self.total_frames:
             raise OutOfMemory(
                 f"no free frames ({self.total_frames} total in use)")
-        frame = Frame(pfn=next(self._next_pfn), kind=kind, content=content,
-                      ino=ino, index=index, owner=owner)
+        frame = Frame(next(self._next_pfn), kind, content, ino, index, 0,
+                      owner)
         if kind == ANON:
             self.counters.anon += 1
             if owner is not None:
                 self._per_owner[owner] = self._per_owner.get(owner, 0) + 1
         else:
             self.counters.file += 1
-        self.peak_frames = max(self.peak_frames, self.in_use)
-        if self.reclaimer is not None:
-            self.reclaimer.note_allocation()
+        self.in_use = in_use = in_use + 1
+        if in_use > self.peak_frames:
+            self.peak_frames = in_use
+        if watermarks:
+            reclaimer.note_allocation()
         return frame
 
     def free(self, frame: Frame) -> None:
         if frame.mapcount != 0:
+            if frame.mapcount == FREED:
+                raise ValueError(f"double free of frame pfn={frame.pfn}")
             raise ValueError(
                 f"freeing frame pfn={frame.pfn} with mapcount "
                 f"{frame.mapcount}")
+        frame.mapcount = FREED
         if frame.kind == ANON:
             self.counters.anon -= 1
             if frame.owner is not None:
@@ -123,8 +138,7 @@ class FrameAllocator:
                     self._per_owner.pop(frame.owner, None)
         else:
             self.counters.file -= 1
-        if self.counters.anon < 0 or self.counters.file < 0:
-            raise ValueError("double free detected")
+        self.in_use -= 1
 
     # -- reporting ------------------------------------------------------------
     def owner_frames(self, owner: str) -> int:

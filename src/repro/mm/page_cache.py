@@ -33,6 +33,7 @@ from repro.storage.filestore import File, FileStore
 
 HOOK_ADD_TO_PAGE_CACHE = "add_to_page_cache_lru"
 HOOK_CTX_SIZE = 16  # (u64 ino, u64 index)
+_HOOK_CTX = struct.Struct("<QQ")
 
 
 @dataclass(slots=True)
@@ -161,9 +162,10 @@ class PageCache:
 
     # -- lookup ---------------------------------------------------------------
     def lookup(self, ino: int, index: int) -> CacheEntry | None:
-        entry = self._entries.get((ino, index))
+        key = (ino, index)
+        entry = self._entries.get(key)
         if entry is not None:
-            self.reclaim.page_touched((ino, index))
+            self.reclaim.page_touched(key)
         return entry
 
     def resident(self, ino: int, index: int) -> bool:
@@ -187,24 +189,25 @@ class PageCache:
         Returns the new entry and the CPU seconds consumed (BPF programs
         attached to the hook run synchronously on this path).
         """
-        key = (file.ino, index)
-        if self._present.test(file.ino, index):
+        ino = file.ino
+        key = (ino, index)
+        if self._present.test(ino, index):
             raise ValueError(f"page {key} already in cache")
         # The allocator consults the reclaim plane itself (watermark
         # throttling, direct reclaim); OutOfMemory here means reclaim
         # already tried and failed.  The presence bit is set only after
         # the allocation: eviction-policy programs running inside that
         # reclaim must not see the page counted yet.
-        frame = self.frames.alloc(FILE, ino=file.ino, index=index)
-        entry = CacheEntry(ino=file.ino, index=index, frame=frame,
-                           io_event=self.env.event())
+        frame = self.frames.alloc(FILE, ino=ino, index=index)
+        entry = CacheEntry(ino, index, frame, False, Event(self.env))
         self._entries[key] = entry
-        self._present.add(file.ino, index)
+        self._present.add(ino, index)
         self.reclaim.page_added(key, entry)
-        self.stats._adds.inc()
+        stats = self.stats
+        stats._adds.inc()
         cost = self.kprobes.fire(HOOK_ADD_TO_PAGE_CACHE,
-                                 struct.pack("<QQ", file.ino, index))
-        self.stats._bpf_hook_seconds.inc(cost)
+                                 _HOOK_CTX.pack(ino, index))
+        stats._bpf_hook_seconds.inc(cost)
         return entry, cost + self.insert_cost
 
     # -- population -------------------------------------------------------------
@@ -273,6 +276,8 @@ class PageCache:
 
     def _issue(self, file: File, run_start: int, entries: list[CacheEntry],
                prio: int = 0, attempt: int = 1) -> None:
+        """Read ``entries``, the pages ``[run_start, run_start + len)``
+        in order, as one request."""
         issued = self.env.now
         completion = self.filestore.read_pages(file, run_start, len(entries),
                                                prio=prio)
@@ -301,8 +306,9 @@ class PageCache:
             self._io_failed(entries, error)
             return
         uptodate = self._uptodate
-        for entry in entries:
-            entry.frame.content = file.content(entry.index)
+        for entry, content in zip(entries,
+                                  file.contents(run_start, len(entries))):
+            entry.frame.content = content
             entry.uptodate = True
             uptodate.add(entry.ino, entry.index)
             event = entry.io_event
@@ -402,10 +408,6 @@ class PageCache:
         """Reclaim-plane eviction of one clean unmapped page."""
         self._remove_entry(entry)
         self.stats._evictions.inc()
-
-    def _reclaim(self, need: int) -> None:
-        """Synchronous direct reclaim (kept for callers of the old API)."""
-        self.reclaim.direct_reclaim(need)
 
     def drop_caches(self) -> int:
         """Drop every clean unmapped page (echo 1 > drop_caches); returns count."""

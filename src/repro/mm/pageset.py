@@ -57,7 +57,9 @@ class PageSet:
 
     def add(self, ino: int, index: int) -> bool:
         """Mark (ino, index) present; returns True if newly added."""
-        pages = self.ensure(ino, index + 1)
+        pages = self._maps.get(ino)
+        if pages is None or index >= len(pages):
+            pages = self.ensure(ino, index + 1)
         if pages[index]:
             return False
         pages[index] = 1

@@ -9,8 +9,8 @@ generators driven by :class:`Process`; each ``yield`` hands back an
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Generator, Iterable
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 #: Event priorities.  URGENT events scheduled at the same timestamp fire
@@ -44,15 +44,15 @@ class Event:
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered",
-                 "_processed", "_defused")
+                 "_defused")
 
     def __init__(self, env: "Environment"):
         self.env = env
+        #: Waiters to call when the event fires; None once it has fired.
         self.callbacks: list[Callable[[Event], None]] | None = []
         self._value: Any = None
         self._ok = True
         self._triggered = False
-        self._processed = False
         # A failed event whose failure someone will observe (a waiting
         # process or condition) is "defused": the engine must not treat
         # it as an unhandled error.
@@ -67,7 +67,7 @@ class Event:
     @property
     def processed(self) -> bool:
         """True once callbacks have run (the event is in the past)."""
-        return self._processed
+        return self.callbacks is None
 
     @property
     def ok(self) -> bool:
@@ -88,7 +88,11 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        self.env._schedule(self, priority)
+        # Scheduling, inlined here, in fail() and in Timeout: it runs
+        # once per event.
+        env = self.env
+        env._seq = seq = env._seq + 1
+        heappush(env._heap, (env._now, priority, seq, self))
         return self
 
     def fail(self, exc: BaseException, priority: int = NORMAL) -> "Event":
@@ -100,17 +104,13 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exc
-        self.env._schedule(self, priority)
+        env = self.env
+        env._seq = seq = env._seq + 1
+        heappush(env._heap, (env._now, priority, seq, self))
         return self
 
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
-        for callback in callbacks or ():
-            callback(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "processed" if self._processed else (
+        state = "processed" if self.callbacks is None else (
             "triggered" if self._triggered else "pending")
         return f"<{type(self).__name__} {state}>"
 
@@ -123,11 +123,16 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._triggered = True
+        # Event.__init__ plus succeed(), inlined: the most common event.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, NORMAL, delay)
+        self._ok = True
+        self._triggered = True
+        self._defused = False
+        self.delay = delay
+        env._seq = seq = env._seq + 1
+        heappush(env._heap, (env._now + delay, NORMAL, seq, self))
 
 
 class Process(Event):
@@ -163,10 +168,11 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._triggered:
             raise SimulationError("cannot interrupt a finished process")
+        # A failed event, so that _resume throws the Interrupt in.
         event = Event(self.env)
         event._defused = True
         event.callbacks.append(self._resume_interrupt)
-        event.succeed(Interrupt(cause), priority=URGENT)
+        event.fail(Interrupt(cause), priority=URGENT)
 
     # -- internal ---------------------------------------------------------
     def _resume_interrupt(self, event: Event) -> None:
@@ -177,24 +183,19 @@ class Process(Event):
                 self._target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-        self._target = None
-        self._step(event.value, throw=True)
+        self._resume(event)
 
     def _resume(self, event: Event) -> None:
+        """Send ``event``'s value into the generator (or throw its
+        exception), then wait on the event the generator yields next."""
         self._target = None
-        if event._ok:
-            self._step(event._value, throw=False)
-        else:
-            self._step(event._value, throw=True)
-
-    def _step(self, value: Any, throw: bool) -> None:
         env = self.env
         env._active_process = self
         try:
-            if throw:
-                target = self.generator.throw(value)
+            if event._ok:
+                target = self.generator.send(event._value)
             else:
-                target = self.generator.send(value)
+                target = self.generator.throw(event._value)
         except StopIteration as stop:
             env._active_process = None
             self._trace_lifetime(env, ok=True)
@@ -210,16 +211,8 @@ class Process(Event):
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded non-event {target!r}")
-        self._finish_yield(target, env)
-
-    def _trace_lifetime(self, env: "Environment", ok: bool) -> None:
-        tracer = env.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.complete(self.name, "process", self._started_at,
-                            end=env._now, track="process", ok=ok)
-
-    def _finish_yield(self, target: Event, env: "Environment") -> None:
-        if target.callbacks is None:
+        callbacks = target.callbacks
+        if callbacks is None:
             # Already processed: resume immediately at the current time.
             immediate = Event(env)
             immediate._defused = True  # this process observes the outcome
@@ -231,7 +224,13 @@ class Process(Event):
         else:
             self._target = target
             target._defused = True  # this process will observe a failure
-            target.callbacks.append(self._resume)
+            callbacks.append(self._resume)
+
+    def _trace_lifetime(self, env: "Environment", ok: bool) -> None:
+        tracer = env.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.complete(self.name, "process", self._started_at,
+                            end=env._now, track="process", ok=ok)
 
 
 class _Condition(Event):
@@ -252,9 +251,6 @@ class _Condition(Event):
             else:
                 event._defused = True  # failures surface via the condition
                 event.callbacks.append(self._check)
-
-    def _collect(self) -> dict[Event, Any]:
-        return {e: e._value for e in self.events if e._processed or e._triggered}
 
     def _check(self, event: Event) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -310,8 +306,8 @@ class Environment:
         #: engine never imports the serve package.
         self.telemetry = None
         #: Total events processed since construction.  Observation-only
-        #: (never consulted by the engine); the bench harness divides it
-        #: by wall time for its events/sec figure of merit.
+        #: (never consulted by the engine); the repo benchmark
+        #: (perfbench/) divides it by wall time for its events/sec.
         self.events_processed = 0
 
     @property
@@ -340,10 +336,6 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling -----------------------------------------------------------
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, priority, self._seq, event))
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._heap[0][0] if self._heap else float("inf")
@@ -352,10 +344,11 @@ class Environment:
         """Process the single next event."""
         if not self._heap:
             raise SimulationError("no scheduled events")
-        when, _prio, _seq, event = heapq.heappop(self._heap)
-        self._now = when
+        self._now, _prio, _seq, event = heappop(self._heap)
         self.events_processed += 1
-        event._run_callbacks()
+        callbacks, event.callbacks = event.callbacks, None
+        for callback in callbacks:
+            callback(event)
         if not event._ok and not event._defused:
             # An unhandled failure (nothing waited on the event) is an
             # error: errors should never pass silently.
@@ -365,19 +358,20 @@ class Environment:
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the heap drains, ``until`` time passes, or event fires."""
+        heap, step = self._heap, self.step
         if isinstance(until, Event):
             stop = until
-            while not stop._processed:
-                if not self._heap:
+            while stop.callbacks is not None:
+                if not heap:
                     raise SimulationError(
                         "simulation starved before awaited event fired")
-                self.step()
+                step()
             if not stop._ok:
                 raise stop._value
             return stop._value
         limit = float("inf") if until is None else float(until)
-        while self._heap and self._heap[0][0] <= limit:
-            self.step()
+        while heap and heap[0][0] <= limit:
+            step()
         if until is not None:
             self._now = max(self._now, limit)
         return None

@@ -12,7 +12,6 @@ from repro.storage.device import (
     BlockDevice,
     BlockIOError,
     DeviceStats,
-    IOError_,
     IORequest,
 )
 from repro.storage.filestore import File, FileStore, TornPageError
@@ -27,7 +26,6 @@ __all__ = [
     "File",
     "FileStore",
     "HDDevice",
-    "IOError_",
     "IORequest",
     "RemoteObjectStore",
     "SSDevice",

@@ -67,9 +67,6 @@ class BlockIOError(IOError):
         self.transient = transient
 
 
-#: Deprecated alias, kept for callers written against the old name.
-IOError_ = BlockIOError
-
 
 class DeviceStats:
     """Cumulative accounting used by the benchmarks (I/O amplification).
@@ -266,7 +263,8 @@ class BlockDevice:
         return self.submit(IORequest(offset, nbytes, WRITE))
 
     def _serve(self, request: IORequest):
-        start = self.env.now
+        env = self.env
+        start = env.now
         decision = (self.fault_injector.on_request(request)
                     if self.fault_injector is not None else None)
         multiplier = decision.multiplier if decision is not None else 1.0
@@ -278,15 +276,14 @@ class BlockDevice:
             try:
                 sequential = self._last_end == request.offset
                 self._last_end = request.end
-                yield self.env.timeout(
-                    self.controller_time(request) * multiplier)
+                yield env.timeout(self.controller_time(request) * multiplier)
             finally:
                 self._controller.release(ctrl)
-            yield self.env.timeout(
+            yield env.timeout(
                 self.media_time(request, sequential) * multiplier)
         finally:
             self._slots.release(slot)
-        request.complete_time = self.env.now
+        request.complete_time = env.now
         duration = request.complete_time - start
         failed = decision is not None and decision.error is not None
         self._trace_request(request, start, sequential, failed)

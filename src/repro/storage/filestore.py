@@ -57,14 +57,24 @@ class File:
     size_bytes: int
     device_offset: int
     _contents: dict[int, int] = field(default_factory=dict)
+    #: Size in pages, rounded up; read on every fault and fill.
+    size_pages: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def size_pages(self) -> int:
-        return -(-self.size_bytes // PAGE_SIZE)
+    def __post_init__(self) -> None:
+        self.size_pages = -(-self.size_bytes // PAGE_SIZE)
 
     def content(self, page: int) -> int:
         self._check_page(page)
         return self._contents.get(page, default_token(self.ino, page))
+
+    def contents(self, start: int, count: int) -> list[int]:
+        """Tokens of pages ``[start, start + count)``, bounds-checked
+        once for the whole run."""
+        self._check_page(start)
+        self._check_page(start + count - 1)
+        get, ino = self._contents.get, self.ino
+        return [get(page, default_token(ino, page))
+                for page in range(start, start + count)]
 
     def set_content(self, page: int, token: int) -> None:
         self._check_page(page)

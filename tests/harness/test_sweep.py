@@ -1,5 +1,7 @@
-"""Sweep engine: disk store, parallel determinism, warm-cache replays."""
+"""Sweep engine: disk store, parallel determinism, warm-cache replays,
+and the shared SweepOptions knob surface."""
 
+import argparse
 import dataclasses
 import json
 
@@ -9,8 +11,8 @@ from repro.harness.experiment import ResultCache, run_scenario
 from repro.harness.figures import figure_3a, figure_specs, matrix_specs
 from repro.harness.report import render_figure
 from repro.harness.spec import SCHEMA_VERSION, ScenarioSpec
-from repro.harness.sweep import (ResultStore, SweepRunner, SweepStats,
-                                 execute_spec)
+from repro.harness.sweep import (ResultStore, SweepOptions, SweepRunner,
+                                 SweepStats, execute_spec)
 from repro.mm.costs import CostModel
 
 
@@ -259,3 +261,53 @@ def test_warm_rerun_reports_zero_execution_throughput(tmp_path,
     assert stats.scenarios_per_second == 0.0
     assert stats.resolved_per_second > 0.0
     assert warm.cache.metrics.snapshot()["sweep_scenarios_per_second"] == 0.0
+
+
+class TestSweepOptions:
+    def test_defaults_match_parser_defaults(self):
+        opts = SweepOptions()
+        assert opts.jobs == 1
+        assert opts.max_retries == 2
+        assert opts.timeout is None
+        assert opts.serve_port == 8040
+
+    def test_from_args_partial_namespace(self):
+        # A namespace from a command that only opted into part of the
+        # flag surface still resolves; missing knobs keep defaults.
+        args = argparse.Namespace(jobs=4, timeout=12.5)
+        opts = SweepOptions.from_args(args)
+        assert opts.jobs == 4
+        assert opts.timeout == 12.5
+        assert opts.max_retries == 2
+        assert opts.cache_dir is None
+
+    def test_make_store_honors_no_cache(self, tmp_path):
+        assert SweepOptions().make_store() is None
+        cached = SweepOptions(cache_dir=str(tmp_path))
+        assert cached.make_store() is not None
+        assert SweepOptions(cache_dir=str(tmp_path),
+                            no_cache=True).make_store() is None
+
+    def test_make_injector_off_by_default(self):
+        assert SweepOptions().make_injector() is None
+
+    def test_make_injector_outlives_deadline(self):
+        injector = SweepOptions(sweep_hang_rate=1.0,
+                                timeout=60.0).make_injector()
+        assert injector is not None
+        assert injector.hang_seconds == 120.0
+
+    def test_make_injector_validates_rates(self):
+        with pytest.raises(ValueError):
+            SweepOptions(sweep_kill_rate=1.5).make_injector()
+
+    def test_make_runner_wiring(self):
+        opts = SweepOptions(jobs=3, timeout=9.0, max_retries=5,
+                            keep_going=True, sweep_kill_rate=0.5)
+        runner = opts.make_runner(cache=None)
+        assert isinstance(runner, SweepRunner)
+        assert runner.jobs == 3
+        assert runner.timeout == 9.0
+        assert runner.max_retries == 5
+        assert runner.keep_going is True
+        assert runner.injector is not None

@@ -77,6 +77,16 @@ class TestContent:
         with pytest.raises(IndexError):
             f.set_content(-1, 0)
 
+    def test_run_contents_match_per_page_contents(self, store):
+        f = store.create("a", MIB)
+        f.set_content(5, ZERO_PAGE)
+        f.set_content(7, 12345)
+        assert f.contents(3, 8) == [f.content(p) for p in range(3, 11)]
+        with pytest.raises(IndexError):
+            f.contents(f.size_pages - 2, 3)
+        with pytest.raises(IndexError):
+            f.contents(-1, 2)
+
 
 class TestIO:
     def test_read_pages_advances_time(self, store, env):
