@@ -7,13 +7,13 @@ SnapBPF because every instance re-reads and re-installs a private copy
 of the working set.
 """
 
-from repro.harness.figures import figure_3b
+from repro.harness.figures import build_figure
 from repro.harness.report import render_figure
 
 
 def test_fig3b(benchmark, cache, functions, record):
     data = benchmark.pedantic(
-        lambda: figure_3b(cache, functions=functions),
+        lambda: build_figure("3b", cache, functions=functions),
         rounds=1, iterations=1)
     record("fig3b", render_figure(data))
 

@@ -5,13 +5,13 @@ functions (image: >2x) and little for functions dominated by initialized
 state (rnn, bert); eBPF prefetching supplies the rest.
 """
 
-from repro.harness.figures import figure_4
+from repro.harness.figures import build_figure
 from repro.harness.report import render_figure
 
 
 def test_fig4(benchmark, cache, functions, record):
     data = benchmark.pedantic(
-        lambda: figure_4(cache, functions=functions),
+        lambda: build_figure("4", cache, functions=functions),
         rounds=1, iterations=1)
     record("fig4", render_figure(data))
 

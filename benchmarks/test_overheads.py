@@ -3,13 +3,13 @@ via the eBPF map costs ~1-2 ms — under 1% of E2E latency on average."""
 
 import statistics
 
-from repro.harness.figures import overheads
+from repro.harness.figures import build_figure
 from repro.harness.report import render_figure
 
 
 def test_overheads(benchmark, cache, functions, record):
     data = benchmark.pedantic(
-        lambda: overheads(cache, functions=functions),
+        lambda: build_figure("overheads", cache, functions=functions),
         rounds=1, iterations=1)
     record("overheads", render_figure(data))
 

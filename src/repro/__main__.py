@@ -7,11 +7,18 @@ Commands:
                                on watermark reclaim; --evict-policy
                                attaches a BPF eviction policy)
   table1                       regenerate the paper's Table 1
-  fig {3a,3b,3c,4,overheads,mem}
+  fig {3a,3b,3c,4,overheads,mem,cluster,traffic,storage}
                                regenerate one figure (or --all), sweeping
-                               the scenario matrix across --jobs workers;
+                               the scenario matrix across --jobs workers:
                                "mem" is the memory-pressure elasticity
-                               figure
+                               figure, "cluster" routing policies x fleet
+                               sizes, "traffic" restore approaches x
+                               keep-alive policies under Zipf/diurnal/
+                               burst multi-tenant load (plus per-tenant
+                               SLO tables), and "storage" snapshot tier
+                               configurations x routing policies (plus
+                               dedup and bytes per tier); --quick shrinks
+                               the last three to CI size
   chaos FN [APPROACH ...]      serve a request train under a seeded fault
                                schedule; report degradation counters
   trace FN APPROACH            run one scenario with span tracing on and
@@ -19,31 +26,15 @@ Commands:
                                (plus optional JSONL)
   cluster FN [APPROACH]        run a multi-node fleet behind the routing
                                gateway (--policy, --nodes, --autoscale,
-                               --node-crash-rate), or sweep routing
-                               policies x node counts with --fig
-  traffic [FN [APPROACH]]      sweep the production traffic plane: Zipf
-                               popularity, diurnal + burst arrivals,
-                               multi-tenant mixes through the cluster
-                               fleet, comparing restore approaches x
-                               keep-alive policies (fixed TTL vs
-                               idle-time histograms) with per-tenant
-                               SLO tables; --quick shrinks it to CI
-                               size
-  storage [FN [APPROACH]]      sweep the snapshot-tiering figure: tier
-                               configurations (flat file, all-local,
-                               base-image-local, capped SSD + HDD
-                               spill, remote-only) x routing policies
-                               through the cluster fleet, reporting
-                               cold-start ratio, p99 E2E, fleet dedup
-                               factor, and bytes per tier; --quick
-                               shrinks it to CI size
+                               --node-crash-rate)
   serve --attach STATE.json    serve the live control-room dashboard for
                                a run started elsewhere with
                                --serve-state (HTTP + SSE + /metrics)
 
-``run``, ``fig``, ``chaos``, ``cluster``, ``traffic`` and ``storage``
-share the sweep flags (one parent parser, resolved into a single
-:class:`~repro.harness.sweep.SweepOptions` value handed to the runners):
+``run``, ``fig``, ``chaos`` and ``cluster`` share the sweep flags (one
+parent parser, resolved into a single
+:class:`~repro.harness.sweep.SweepOptions` value handed to the runners;
+``cluster`` runs one fleet, not a sweep, and uses only the serve flags):
 ``--jobs N`` fans independent scenario cells out over N worker
 processes (results are byte-identical for every N), ``--cache-dir DIR``
 persists each finished cell in a content-addressed store *as it
@@ -80,11 +71,9 @@ Examples:
   python -m repro chaos json snapbpf linux-ra --fault-seed 7
   python -m repro trace json snapbpf -o restore.json --jsonl spans.jsonl
   python -m repro cluster json snapbpf --policy snapshot-locality --nodes 4
-  python -m repro cluster json --fig --jobs 4 --cache-dir .sweep-cache
-  python -m repro traffic --quick --jobs 2
-  python -m repro traffic json snapbpf --rps 500 --duration 30
-  python -m repro storage --jobs 4 --cache-dir .sweep-cache
-  python -m repro storage json snapbpf --tiers local,remote --quick
+  python -m repro fig cluster --jobs 4 --cache-dir .sweep-cache
+  python -m repro fig traffic --quick --jobs 2
+  python -m repro fig storage --jobs 4 --cache-dir .sweep-cache
   python -m repro fig --all --serve --serve-port 8040
   python -m repro fig --all --serve-state /tmp/repro-state.json &
   python -m repro serve --attach /tmp/repro-state.json --port 8040
@@ -277,14 +266,15 @@ def cmd_fig(args) -> int:
     serving.attach_cache(cache)
     runner = opts.make_runner(cache, telemetry=serving.hub)
     try:
-        _sweep(runner, F.matrix_specs(figures, functions), opts)
+        _sweep(runner, F.matrix_specs(figures, functions, args.quick), opts)
         if runner.last_manifest:
             print(f"warning: {len(runner.last_manifest)} cell(s) "
                   f"quarantined; figures will re-attempt them inline",
                   file=sys.stderr)
         for figure in figures:
-            print(render_figure(F.build_figure(figure, cache,
-                                               functions=functions)))
+            data = F.build_figure(figure, cache, functions=functions,
+                                  quick=args.quick)
+            print("\n".join([render_figure(data), *data.summary]))
     finally:
         serving.finish()
     print(runner.last_stats.summary(), file=sys.stderr)
@@ -388,55 +378,21 @@ def cmd_cluster(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    from repro.cluster import ROUTING_POLICIES, ClusterSpec
+    from repro.cluster import ClusterSpec
     from repro.cluster.runner import run_cluster
-
-    cluster_kwargs = dict(
-        n_functions=args.cluster_functions,
-        rate_per_function=args.rate, duration=args.duration,
-        warm_pool_ttl=args.warm_ttl)
-
-    if args.fig:
-        policies = args.policies.split(",")
-        for policy in policies:
-            if policy not in ROUTING_POLICIES:
-                print(f"error: unknown routing policy {policy!r}; choose "
-                      f"from {sorted(ROUTING_POLICIES)}", file=sys.stderr)
-                return 2
-        node_counts = [int(n) for n in args.node_counts.split(",")]
-        approaches = ([args.approach] if args.approach
-                      else list(F.FIGURE_MATRIX["cluster"][0]))
-        opts = SweepOptions.from_args(args)
-        cache = ResultCache(store=opts.make_store())
-        serving = _ServeContext(opts)
-        serving.attach_cache(cache)
-        runner = opts.make_runner(cache, telemetry=serving.hub)
-        try:
-            _sweep(runner, [F.cluster_cell_spec(profile, a, policy, n,
-                                                **cluster_kwargs)
-                            for a in approaches for policy in policies
-                            for n in node_counts], opts)
-            data = F.cluster_figure_data(cache, [profile], approaches,
-                                         policies=policies,
-                                         node_counts=node_counts,
-                                         **cluster_kwargs)
-            print(render_figure(data))
-        finally:
-            serving.finish()
-        print(runner.last_stats.summary(), file=sys.stderr)
-        return 0
 
     try:
         cspec = ClusterSpec(
             n_nodes=args.nodes, policy=args.policy,
-            autoscale=args.autoscale,
+            n_functions=args.cluster_functions,
+            rate_per_function=args.rate, duration=args.duration,
+            warm_pool_ttl=args.warm_ttl, autoscale=args.autoscale,
             target_inflight=args.target_inflight,
-            min_nodes=args.min_nodes, max_nodes=args.max_nodes,
-            **cluster_kwargs)
+            min_nodes=args.min_nodes, max_nodes=args.max_nodes)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    spec = ScenarioSpec(function=profile, approach=args.approach or "snapbpf",
+    spec = ScenarioSpec(function=profile, approach=args.approach,
                         device_kind=args.device, cluster=cspec)
     fault_config = None
     if args.node_crash_rate:
@@ -479,158 +435,6 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def cmd_traffic(args) -> int:
-    """Sweep the production-traffic figure (restore approaches x
-    keep-alive policies under Zipf/diurnal/burst multi-tenant load) and
-    print the figure plus the per-tenant SLO table."""
-    try:
-        profile = profile_by_name(args.function)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    from repro.cluster.keepalive import KEEPALIVE_POLICIES
-
-    keepalives = args.keepalives.split(",")
-    for name in keepalives:
-        if name not in KEEPALIVE_POLICIES:
-            print(f"error: unknown keep-alive policy {name!r}; choose "
-                  f"from {list(KEEPALIVE_POLICIES)}", file=sys.stderr)
-            return 2
-    approaches = ([args.approach] if args.approach
-                  else list(F.FIGURE_MATRIX["traffic"][0]))
-    traffic = F.default_traffic_spec(quick=args.quick)
-    overrides = {key: value for key, value in (
-        ("n_functions", args.traffic_functions),
-        ("n_tenants", args.tenants),
-        ("total_rps", args.rps),
-        ("duration", args.duration),
-        ("seed", args.traffic_seed)) if value is not None}
-    try:
-        if overrides:
-            traffic = dataclasses.replace(traffic, **overrides)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cluster_kwargs = dict(F.traffic_cluster_kwargs(quick=args.quick))
-    if args.nodes is not None:
-        cluster_kwargs["n_nodes"] = args.nodes
-    if args.slots is not None:
-        cluster_kwargs["overflow_inflight"] = args.slots
-
-    opts = SweepOptions.from_args(args)
-    cache = ResultCache(store=opts.make_store())
-    serving = _ServeContext(opts)
-    serving.attach_cache(cache)
-    runner = opts.make_runner(cache, telemetry=serving.hub)
-    try:
-        specs = [F.traffic_cell_spec(profile, a, keepalive,
-                                     traffic=traffic, **cluster_kwargs)
-                 for a in approaches for keepalive in keepalives]
-        _sweep(runner, specs, opts)
-        data = F.traffic_figure_data(cache, [profile], approaches,
-                                     keepalives=keepalives,
-                                     traffic=traffic, **cluster_kwargs)
-        print(render_figure(data))
-        # Per-tenant SLO table straight from the flattened extras.
-        for approach in approaches:
-            for keepalive in keepalives:
-                result = cache.get(F.traffic_cell_spec(
-                    profile, approach, keepalive, traffic=traffic,
-                    **cluster_kwargs))
-                print(f"{profile.name}/{approach} [{keepalive}]: "
-                      f"{result.extra['traffic_invocations']:.0f} "
-                      f"invocations, cold ratio "
-                      f"{result.extra['traffic_cold_ratio']:.4f}, "
-                      f"p99.9 E2E "
-                      f"{result.extra['traffic_p999_e2e'] * 1e3:.1f} ms")
-                print("  tenant   requests  cold-ratio   p99 e2e "
-                      "p99.9 e2e  p99 cold")
-                for tenant in range(traffic.n_tenants):
-                    row = {key: result.extra[f"slo_t{tenant}_{key}"]
-                           for key in ("requests", "cold_ratio",
-                                       "p99_e2e", "p999_e2e",
-                                       "p99_cold")}
-                    print(f"  t{tenant:<7d} {row['requests']:8.0f}  "
-                          f"{row['cold_ratio']:10.4f} "
-                          f"{row['p99_e2e'] * 1e3:8.1f}ms "
-                          f"{row['p999_e2e'] * 1e3:8.1f}ms "
-                          f"{row['p99_cold'] * 1e3:8.1f}ms")
-    finally:
-        serving.finish()
-    print(runner.last_stats.summary(), file=sys.stderr)
-    return 0
-
-
-def cmd_storage(args) -> int:
-    """Sweep the snapshot-tiering figure (tier configurations x routing
-    policies through the cluster plane) and print it, followed by a
-    per-cell dedup/tier-bytes summary."""
-    try:
-        profile = profile_by_name(args.function)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    from repro.cluster import ROUTING_POLICIES
-
-    tiers = args.tiers.split(",")
-    for name in tiers:
-        if name not in F.STORAGE_TIERS:
-            print(f"error: unknown tier config {name!r}; choose from "
-                  f"{list(F.STORAGE_TIERS)}", file=sys.stderr)
-            return 2
-    policies = args.policies.split(",")
-    for name in policies:
-        if name not in ROUTING_POLICIES:
-            print(f"error: unknown routing policy {name!r}; choose "
-                  f"from {sorted(ROUTING_POLICIES)}", file=sys.stderr)
-            return 2
-    approaches = ([args.approach] if args.approach
-                  else list(F.FIGURE_MATRIX["storage"][0]))
-    cluster_kwargs = dict(F.storage_cluster_kwargs(quick=args.quick))
-    n_nodes = args.nodes if args.nodes is not None else (
-        2 if args.quick else F.STORAGE_NODE_COUNT)
-
-    opts = SweepOptions.from_args(args)
-    cache = ResultCache(store=opts.make_store())
-    serving = _ServeContext(opts)
-    serving.attach_cache(cache)
-    runner = opts.make_runner(cache, telemetry=serving.hub)
-    try:
-        specs = [F.storage_cell_spec(profile, a, tier, policy,
-                                     n_nodes=n_nodes, **cluster_kwargs)
-                 for a in approaches for tier in tiers
-                 for policy in policies]
-        _sweep(runner, specs, opts)
-        data = F.storage_figure_data(cache, [profile], approaches,
-                                     tiers=tiers, policies=policies,
-                                     n_nodes=n_nodes, **cluster_kwargs)
-        print(render_figure(data))
-        # Per-cell summary straight from the flattened extras.
-        for approach in approaches:
-            for tier in tiers:
-                for policy in policies:
-                    result = cache.get(F.storage_cell_spec(
-                        profile, approach, tier, policy,
-                        n_nodes=n_nodes, **cluster_kwargs))
-                    dedup = result.extra.get("snapstore_dedup_factor")
-                    if dedup is None:
-                        print(f"{profile.name}/{approach} [{tier} "
-                              f"{policy}]: flat files (no snapstore)")
-                        continue
-                    fetched = result.extra.get(
-                        "snapstore_remote_fetch_bytes", 0.0)
-                    print(f"{profile.name}/{approach} [{tier} {policy}]: "
-                          f"dedup {dedup:.2f}x, unique "
-                          f"{result.extra['snapstore_unique_bytes'] / MIB:.0f}"
-                          f" MiB, local "
-                          f"{result.extra['snapstore_local_bytes'] / MIB:.0f}"
-                          f" MiB, remote fetched {fetched / MIB:.0f} MiB")
-    finally:
-        serving.finish()
-    print(runner.last_stats.summary(), file=sys.stderr)
-    return 0
-
-
 def cmd_serve(args) -> int:
     """Attach mode: serve the dashboard for a run publishing its state
     elsewhere (``--serve-state``), until SIGINT/SIGTERM (exit 0)."""
@@ -661,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Sweep flags shared by run/fig/chaos/cluster (same semantics
-    # everywhere).
+    # everywhere; cluster uses only the serve flags).
     sweep_flags = argparse.ArgumentParser(add_help=False)
     sweep_flags.add_argument(
         "-j", "--jobs", type=int, default=1,
@@ -758,6 +562,10 @@ def main(argv: list[str] | None = None) -> int:
                             help="regenerate every figure in one sweep")
     fig_parser.add_argument("--functions", default="",
                             help="comma-separated subset of functions")
+    fig_parser.add_argument(
+        "--quick", action="store_true",
+        help="CI-sized variants of the cluster, traffic and storage "
+             "figures (the others are sized by --functions)")
 
     chaos_parser = sub.add_parser(
         "chaos", help="serve requests under a seeded fault schedule",
@@ -801,23 +609,13 @@ def main(argv: list[str] | None = None) -> int:
         parents=[sweep_flags])
     cluster_parser.add_argument("function", help="base function profile "
                                 "the cluster's function mix is cloned from")
-    cluster_parser.add_argument("approach", nargs="?", default=None,
+    cluster_parser.add_argument("approach", nargs="?", default="snapbpf",
                                 choices=sorted(approach_registry()),
-                                help="restore approach (default: snapbpf; "
-                                     "with --fig: all four figure columns)")
-    cluster_parser.add_argument("--fig", action="store_true",
-                                help="sweep --policies x --node-counts and "
-                                     "print the cold-start-ratio figure")
+                                help="restore approach (default: snapbpf)")
     cluster_parser.add_argument("--policy", default="snapshot-locality",
-                                help="routing policy for a single run")
+                                help="routing policy")
     cluster_parser.add_argument("--nodes", type=int, default=2,
-                                help="fleet size for a single run")
-    cluster_parser.add_argument(
-        "--policies", default="random,round-robin,least-loaded,"
-                              "snapshot-locality",
-        help="comma-separated policies for --fig")
-    cluster_parser.add_argument("--node-counts", default="2,4",
-                                help="comma-separated fleet sizes for --fig")
+                                help="fleet size")
     cluster_parser.add_argument("--cluster-functions", type=int, default=4,
                                 metavar="N",
                                 help="function clones in the mix")
@@ -839,67 +637,6 @@ def main(argv: list[str] | None = None) -> int:
     cluster_parser.add_argument("--fault-seed", type=int, default=0)
     cluster_parser.add_argument("--device", choices=("ssd", "hdd"),
                                 default="ssd")
-
-    traffic_parser = sub.add_parser(
-        "traffic", help="sweep the production-traffic figure (approaches "
-                        "x keep-alive policies) with per-tenant SLOs",
-        parents=[sweep_flags])
-    traffic_parser.add_argument(
-        "function", nargs="?", default="json",
-        help="base function profile (service-time calibration shape "
-             "mix is fixed by the traffic spec; default: json)")
-    traffic_parser.add_argument(
-        "approach", nargs="?", default=None,
-        choices=sorted(approach_registry()),
-        help="restore approach (default: all four figure columns)")
-    traffic_parser.add_argument(
-        "--keepalives", default="fixed,histogram",
-        help="comma-separated keep-alive policies to compare")
-    traffic_parser.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized workload (400 functions, 10s) instead of the "
-             "committed 10k-function figure scale")
-    traffic_parser.add_argument(
-        "--traffic-functions", type=int, default=None, metavar="N",
-        help="override the function-catalog size")
-    traffic_parser.add_argument("--tenants", type=int, default=None,
-                                help="override the tenant count")
-    traffic_parser.add_argument("--rps", type=float, default=None,
-                                help="override aggregate arrivals/sec")
-    traffic_parser.add_argument("--duration", type=float, default=None,
-                                help="override the stream duration (s)")
-    traffic_parser.add_argument("--traffic-seed", type=int, default=None,
-                                help="override the traffic seed")
-    traffic_parser.add_argument("--nodes", type=int, default=None,
-                                help="override the fleet size")
-    traffic_parser.add_argument("--slots", type=int, default=None,
-                                help="override per-node concurrency slots")
-
-    storage_parser = sub.add_parser(
-        "storage", help="sweep the snapshot-tiering figure (tier configs "
-                        "x routing policies) through the cluster fleet",
-        parents=[sweep_flags])
-    storage_parser.add_argument(
-        "function", nargs="?", default="json",
-        help="base function profile the cluster's function mix is "
-             "cloned from (default: json)")
-    storage_parser.add_argument(
-        "approach", nargs="?", default=None,
-        choices=sorted(approach_registry()),
-        help="restore approach (default: all figure columns)")
-    storage_parser.add_argument(
-        "--tiers", default=",".join(F.STORAGE_TIERS),
-        help="comma-separated tier configs to compare (default: all)")
-    storage_parser.add_argument(
-        "--policies", default=",".join(F.STORAGE_POLICIES),
-        help="comma-separated routing policies to compare")
-    storage_parser.add_argument(
-        "--nodes", type=int, default=None,
-        help="fleet size (default: 4, or 2 with --quick)")
-    storage_parser.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized workload (2 nodes, 2 function clones, 3s "
-             "stream) instead of the committed figure scale")
 
     serve_parser = sub.add_parser(
         "serve", help="serve the control-room dashboard for a run "
@@ -924,8 +661,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     handler = {"list": cmd_list, "run": cmd_run, "table1": cmd_table1,
                "fig": cmd_fig, "chaos": cmd_chaos, "trace": cmd_trace,
-               "cluster": cmd_cluster, "traffic": cmd_traffic,
-               "storage": cmd_storage, "serve": cmd_serve}[args.command]
+               "cluster": cmd_cluster, "serve": cmd_serve}[args.command]
     try:
         return handler(args)
     except SweepFailure as exc:

@@ -12,17 +12,11 @@ from repro.harness.chaos import (
 from repro.harness.experiment import ResultCache, make_kernel, run_scenario
 from repro.harness.figures import (
     CONCURRENT_INSTANCES,
-    FIGURE_MATRIX,
     FIGURES,
     FigureData,
     build_figure,
-    figure_3a,
-    figure_3b,
-    figure_3c,
-    figure_4,
     figure_specs,
     matrix_specs,
-    overheads,
     table_1,
 )
 from repro.harness.report import render_figure, render_table, render_table1
@@ -32,14 +26,12 @@ from repro.harness.sweep import (
     SweepRunner,
     SweepStats,
     execute_spec,
-    parallel_map,
 )
 
 __all__ = [
     "CONCURRENT_INSTANCES",
     "ChaosResult",
     "DEFAULT_CHAOS",
-    "FIGURE_MATRIX",
     "FIGURES",
     "FigureData",
     "ResultCache",
@@ -51,16 +43,10 @@ __all__ = [
     "build_figure",
     "chaos_key",
     "execute_spec",
-    "figure_3a",
-    "figure_3b",
-    "figure_3c",
-    "figure_4",
     "figure_specs",
     "fixed_interval_arrivals",
     "make_kernel",
     "matrix_specs",
-    "overheads",
-    "parallel_map",
     "render_chaos",
     "render_figure",
     "render_table",

@@ -1,7 +1,11 @@
 """Regeneration of every table and figure in the paper's evaluation.
 
-Each builder returns a :class:`FigureData`: ordered function names,
-series (one per approach), and the values the paper plots.  A shared
+Each figure is one :class:`Figure` record in :data:`REGISTRY`: its
+columns and row axes, the one function that names the scenario behind
+each table cell, the value it plots, and optionally a per-cell summary
+and a CI-sized ``quick`` variant.  :func:`figure_specs` (what a sweep
+runs) and :func:`build_figure` (what the table reads) walk the same
+record, so they cannot disagree about which cells exist.  A shared
 :class:`~repro.harness.experiment.ResultCache` lets Figure 3b and 3c
 reuse the same concurrent runs, exactly as the paper measures latency
 and memory from one experiment.
@@ -9,7 +13,10 @@ and memory from one experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import product
+from typing import Callable
 
 from repro.baselines.base import approach_registry
 from repro.cluster.spec import ClusterSpec
@@ -27,35 +34,19 @@ import repro.core  # noqa: F401
 #: Number of concurrent instances in the Figure 3b/3c experiments.
 CONCURRENT_INSTANCES = 10
 
-#: The scenario matrix behind each figure: (approaches, n_instances).
-#: The builders below iterate these same tuples, so enumerating a
-#: figure's specs (for a parallel sweep) and building it can never
-#: disagree about which cells exist.
-FIGURE_MATRIX: dict[str, tuple[tuple[str, ...], int]] = {
-    "3a": (("reap", "faasnap", "snapbpf"), 1),
-    "3b": (("linux-nora", "linux-ra", "reap", "snapbpf"),
-           CONCURRENT_INSTANCES),
-    "3c": (("linux-nora", "linux-ra", "reap", "snapbpf"),
-           CONCURRENT_INSTANCES),
-    "4": (("linux-ra", "pv-ptes", "snapbpf"), 1),
-    "overheads": (("snapbpf",), 1),
-    "mem": (("linux-ra", "reap", "snapbpf"), CONCURRENT_INSTANCES),
-    "cluster": (("linux-ra", "reap", "faasnap", "snapbpf"), 1),
-    "traffic": (("linux-ra", "reap", "faasnap", "snapbpf"), 1),
-    "storage": (("linux-ra", "reap", "snapbpf"), 1),
-}
-
-FIGURES: tuple[str, ...] = tuple(FIGURE_MATRIX)
-
 #: The cluster figure's sweep axes: routing policy x fleet size.
 CLUSTER_POLICIES = ("random", "round-robin", "least-loaded",
                     "snapshot-locality")
 CLUSTER_NODE_COUNTS = (2, 4)
 
-#: The cluster figure defaults to ONE base function (its cells are whole
-#: fleet simulations — 13 base functions x 32 cells would dwarf every
-#: other figure combined); pass ``functions=...`` to widen it.
+#: The fleet figures (cluster, traffic, storage) default to ONE base
+#: function (their cells are whole fleet simulations — 13 base
+#: functions x 32 cells would dwarf every other figure combined); pass
+#: ``functions=...`` to widen them.
 CLUSTER_BASE_FUNCTIONS = ("json",)
+
+#: The restore-approach columns of the cluster and traffic figures.
+FLEET_APPROACHES = ("linux-ra", "reap", "faasnap", "snapbpf")
 
 
 def cluster_cell_spec(profile: FunctionProfile, approach: str,
@@ -143,8 +134,8 @@ STORAGE_METRICS = (
 
 
 def storage_cluster_kwargs(quick: bool = False) -> dict:
-    """Cluster workload shared by the storage figure and the CLI's
-    ``storage`` command; ``quick`` shrinks it to CI smoke size."""
+    """Cluster workload of one storage-figure cell; ``quick`` shrinks it
+    to CI smoke size."""
     if quick:
         return dict(n_functions=2, duration=3.0)
     return {}
@@ -203,46 +194,6 @@ def pressure_ram_bytes(profile: FunctionProfile, approach: str,
             + slack) * PAGE_SIZE
 
 
-def figure_specs(figure: str, functions=None) -> list[ScenarioSpec]:
-    """Every scenario cell one figure needs, as sweepable specs."""
-    approaches, n_instances = FIGURE_MATRIX[figure]
-    if figure == "cluster":
-        return [cluster_cell_spec(p, a, policy, n_nodes)
-                for p in _cluster_profiles(functions) for a in approaches
-                for policy in CLUSTER_POLICIES
-                for n_nodes in CLUSTER_NODE_COUNTS]
-    if figure == "traffic":
-        return [traffic_cell_spec(p, a, keepalive)
-                for p in _cluster_profiles(functions) for a in approaches
-                for keepalive in TRAFFIC_KEEPALIVES]
-    if figure == "storage":
-        return [storage_cell_spec(p, a, tier, policy)
-                for p in _cluster_profiles(functions) for a in approaches
-                for tier in STORAGE_TIERS for policy in STORAGE_POLICIES]
-    if figure == "mem":
-        return [
-            ScenarioSpec(
-                function=p, approach=a, n_instances=n_instances,
-                ram_bytes=pressure_ram_bytes(p, a, n_instances, g))
-            for p in _profiles(functions) for a in approaches
-            for g in MEM_HEADROOMS]
-    return [ScenarioSpec(function=p, approach=a, n_instances=n_instances)
-            for p in _profiles(functions) for a in approaches]
-
-
-def matrix_specs(figures=None, functions=None) -> list[ScenarioSpec]:
-    """The union of several figures' cells, deduplicated in first-seen
-    order (3b and 3c share every run, 3a and 4 share snapbpf x1)."""
-    specs: list[ScenarioSpec] = []
-    seen: set[ScenarioSpec] = set()
-    for figure in (figures if figures is not None else FIGURES):
-        for spec in figure_specs(figure, functions):
-            if spec not in seen:
-                seen.add(spec)
-                specs.append(spec)
-    return specs
-
-
 @dataclass
 class FigureData:
     """One regenerated figure: functions x series -> value."""
@@ -252,6 +203,8 @@ class FigureData:
     functions: list[str]
     series: dict[str, list[float]] = field(default_factory=dict)
     notes: str = ""
+    #: Per-cell text printed after the table (traffic, storage).
+    summary: list[str] = field(default_factory=list)
 
     def value(self, function: str, series: str) -> float:
         return self.series[series][self.functions.index(function)]
@@ -265,293 +218,281 @@ class FigureData:
         return rows
 
 
-def _profiles(functions) -> list[FunctionProfile]:
-    if functions is None:
-        return list(FUNCTIONS)
-    by_name = {p.name: p for p in FUNCTIONS}
-    return [p if isinstance(p, FunctionProfile) else by_name[p]
-            for p in functions]
+def _profiles(functions, default=FUNCTIONS) -> list[FunctionProfile]:
+    """Profiles (or names) to build, defaulting to ``default``."""
+    return [p if isinstance(p, FunctionProfile) else profile_by_name(p)
+            for p in (default if functions is None else functions)]
 
 
-def _cluster_profiles(functions) -> list[FunctionProfile]:
-    if functions is None:
-        return [profile_by_name(name) for name in CLUSTER_BASE_FUNCTIONS]
-    return _profiles(functions)
+def _profile_name(profile: FunctionProfile, *_point) -> str:
+    return profile.name
 
 
-def figure_3a(cache: ResultCache | None = None,
-              functions=None) -> FigureData:
-    """Fig. 3a: E2E latency (s), single instance: REAP / FaaSnap / SnapBPF."""
-    cache = cache or ResultCache()
-    profiles = _profiles(functions)
-    data = FigureData(figure="3a", ylabel="E2E latency (s)",
-                      functions=[p.name for p in profiles])
-    approaches, n_instances = FIGURE_MATRIX["3a"]
-    for approach in approaches:
-        data.series[approach] = [
-            cache.get(ScenarioSpec(function=p, approach=approach,
-                                   n_instances=n_instances)).mean_e2e
-            for p in profiles]
-    return data
+@dataclass(frozen=True)
+class Figure:
+    """One figure's declaration.
 
-
-def figure_3b(cache: ResultCache | None = None, functions=None,
-              normalize: bool = True) -> FigureData:
-    """Fig. 3b: E2E latency, 10 concurrent instances, normalized to
-    Linux-NoRA: Linux-NoRA / Linux-RA / REAP / SnapBPF."""
-    cache = cache or ResultCache()
-    profiles = _profiles(functions)
-    approaches, n_instances = FIGURE_MATRIX["3b"]
-    raw = {a: [cache.get(ScenarioSpec(function=p, approach=a,
-                                      n_instances=n_instances)).mean_e2e
-               for p in profiles] for a in approaches}
-    data = FigureData(
-        figure="3b",
-        ylabel=("E2E latency (normalized to Linux-NoRA)"
-                if normalize else "E2E latency (s)"),
-        functions=[p.name for p in profiles],
-        notes=f"{CONCURRENT_INSTANCES} concurrent instances, "
-              f"identical inputs")
-    for approach in approaches:
-        if normalize:
-            data.series[approach] = [
-                raw[approach][i] / raw["linux-nora"][i]
-                for i in range(len(profiles))]
-        else:
-            data.series[approach] = raw[approach]
-    return data
-
-
-def figure_3c(cache: ResultCache | None = None, functions=None) -> FigureData:
-    """Fig. 3c: system-wide memory (GiB), 10 concurrent instances."""
-    cache = cache or ResultCache()
-    profiles = _profiles(functions)
-    data = FigureData(
-        figure="3c", ylabel="Memory consumption (GiB)",
-        functions=[p.name for p in profiles],
-        notes=f"{CONCURRENT_INSTANCES} concurrent instances")
-    approaches, n_instances = FIGURE_MATRIX["3c"]
-    for approach in approaches:
-        data.series[approach] = [
-            cache.get(ScenarioSpec(function=p, approach=approach,
-                                   n_instances=n_instances))
-            .peak_memory_bytes / GIB
-            for p in profiles]
-    return data
-
-
-def figure_4(cache: ResultCache | None = None, functions=None) -> FigureData:
-    """Fig. 4: breakdown — normalized E2E latency of Linux-RA (baseline),
-    PV PTE marking alone, and full SnapBPF (PV + eBPF prefetch)."""
-    cache = cache or ResultCache()
-    profiles = _profiles(functions)
-    approaches, n_instances = FIGURE_MATRIX["4"]
-    raw = {a: [cache.get(ScenarioSpec(function=p, approach=a,
-                                      n_instances=n_instances)).mean_e2e
-               for p in profiles] for a in approaches}
-    data = FigureData(
-        figure="4", ylabel="Normalized E2E latency (Linux-RA = 1.0)",
-        functions=[p.name for p in profiles],
-        notes="single instance; lower is better")
-    for approach in approaches:
-        data.series[approach] = [raw[approach][i] / raw["linux-ra"][i]
-                                 for i in range(len(profiles))]
-    return data
-
-
-def overheads(cache: ResultCache | None = None, functions=None) -> FigureData:
-    """§4 'SnapBPF Overheads': offset-load (eBPF map) latency, absolute
-    (ms) and as a fraction of E2E latency."""
-    cache = cache or ResultCache()
-    profiles = _profiles(functions)
-    data = FigureData(
-        figure="overheads",
-        ylabel="offset-load latency",
-        functions=[p.name for p in profiles],
-        notes="map-load ms and fraction of E2E; paper: ~1-2 ms, <1%")
-    load_ms, frac = [], []
-    for p in profiles:
-        result = cache.get(ScenarioSpec(function=p, approach="snapbpf",
-                                        n_instances=1))
-        load = result.extra.get("map_load_seconds", 0.0)
-        load_ms.append(load * 1e3)
-        frac.append(load / result.mean_e2e if result.mean_e2e else 0.0)
-    data.series["map_load_ms"] = load_ms
-    data.series["fraction_of_e2e"] = frac
-    return data
-
-
-def figure_mem(cache: ResultCache | None = None,
-               functions=None) -> FigureData:
-    """Memory-pressure elasticity (paper Fig. 3c's dynamic claim): under
-    a shrinking frame pool, page-cache-backed approaches deflate their
-    file-backed footprint via reclaim, while REAP's per-VM anonymous
-    frames cannot be shed at all.
-
-    Each approach gets one series per headroom factor g (pool sized by
-    :func:`pressure_ram_bytes`).  For uffd approaches the value is the
-    per-VM anonymous footprint (GiB) — flat across g; for page-cache
-    approaches it is the shared file-backed footprint — dropping with g.
+    Table rows are ``(profile, *point, metric)`` for each base function
+    profile, each point of the ``axes`` product, and each entry of
+    ``metrics``.  The cell in row ``(profile, *point, metric)`` and
+    column ``c`` plots ``value(result, c, metric)`` of the scenario
+    ``cell(profile, c, *point)``.
     """
-    cache = cache or ResultCache()
-    profiles = _profiles(functions)
-    approaches, n_instances = FIGURE_MATRIX["mem"]
-    data = FigureData(
-        figure="mem", ylabel="End-of-run footprint (GiB)",
-        functions=[p.name for p in profiles],
-        notes=f"{n_instances} concurrent instances; g = headroom over "
-              f"the unreclaimable floor; file series deflate under "
-              f"pressure, anon/vm series stay pinned")
-    for approach in approaches:
-        uffd = approach in UFFD_APPROACHES
-        kind = "anon/vm" if uffd else "file"
-        for g in MEM_HEADROOMS:
-            values = []
-            for p in profiles:
-                spec = ScenarioSpec(
-                    function=p, approach=approach, n_instances=n_instances,
-                    ram_bytes=pressure_ram_bytes(p, approach,
-                                                 n_instances, g))
-                result = cache.get(spec)
-                if uffd:
-                    values.append(result.end_anon_bytes / n_instances / GIB)
-                else:
-                    values.append(result.end_file_bytes / GIB)
-            data.series[f"{approach} {kind} g={g}"] = values
-    return data
+
+    ylabel: str
+    columns: tuple
+    #: ``(profile, column, *point) -> ScenarioSpec``: the only place a
+    #: figure's cells are declared.
+    cell: Callable[..., ScenarioSpec]
+    #: ``(result, column, metric) -> float``: the plotted value.
+    value: Callable[..., float]
+    notes: str = ""
+    #: Row axes swept between the function profile and the metric.
+    axes: tuple[tuple, ...] = ()
+    #: The innermost row axis: read from each cell, never swept.
+    metrics: tuple = (None,)
+    #: ``(profile, *point, metric) -> str``: the row label.
+    label: Callable[..., str] = _profile_name
+    #: ``column -> str``: the series name.
+    series: Callable[..., str] = str
+    #: The series every row is divided by.
+    normalize: str | None = None
+    #: ``(spec, result, *point) -> str``: text printed after the table,
+    #: once per cell.
+    summary: Callable[..., str] | None = None
+    #: Function profiles (or names) a build covers by default.
+    base_functions: tuple = FUNCTIONS
+    #: Field overrides for the CI-sized variant (None: same as full).
+    quick: dict | None = None
 
 
-def cluster_figure_data(cache: ResultCache, profiles, approaches,
-                        policies=CLUSTER_POLICIES,
-                        node_counts=CLUSTER_NODE_COUNTS,
-                        **cluster_kwargs) -> FigureData:
-    """Cold-start ratio per (base function, policy, fleet size) row and
-    approach column — shared by :func:`figure_cluster` and the CLI's
-    ``cluster --fig`` mode (which narrows the axes)."""
-    rows = [(p, policy, n) for p in profiles
-            for policy in policies for n in node_counts]
-    data = FigureData(
-        figure="cluster", ylabel="cold-start ratio",
-        functions=[f"{p.name} {policy} n={n}" for p, policy, n in rows],
+def _single(profile: FunctionProfile, approach: str) -> ScenarioSpec:
+    return ScenarioSpec(function=profile, approach=approach)
+
+
+def _concurrent(profile: FunctionProfile, approach: str) -> ScenarioSpec:
+    return ScenarioSpec(function=profile, approach=approach,
+                        n_instances=CONCURRENT_INSTANCES)
+
+
+def _pressure_cell(profile: FunctionProfile, column) -> ScenarioSpec:
+    approach, headroom = column
+    return ScenarioSpec(
+        function=profile, approach=approach,
+        n_instances=CONCURRENT_INSTANCES,
+        ram_bytes=pressure_ram_bytes(profile, approach,
+                                     CONCURRENT_INSTANCES, headroom))
+
+
+def _e2e(result, _column, _metric) -> float:
+    return result.mean_e2e
+
+
+def _map_load(result, column, _metric) -> float:
+    """The offset load into the eBPF map, in ms or as a fraction of E2E."""
+    load = result.extra.get("map_load_seconds", 0.0)
+    if column == "map_load_ms":
+        return load * 1e3
+    return load / result.mean_e2e if result.mean_e2e else 0.0
+
+
+def _footprint(result, column, _metric) -> float:
+    """Per-VM anonymous GiB for uffd approaches (pinned), the shared
+    file-backed GiB for page-cache approaches (reclaimable)."""
+    if column[0] in UFFD_APPROACHES:
+        return result.end_anon_bytes / CONCURRENT_INSTANCES / GIB
+    return result.end_file_bytes / GIB
+
+
+def _mem_series(column) -> str:
+    approach, headroom = column
+    kind = "anon/vm" if approach in UFFD_APPROACHES else "file"
+    return f"{approach} {kind} g={headroom}"
+
+
+def _traffic_summary(spec: ScenarioSpec, result, keepalive: str) -> str:
+    """Headline plus the per-tenant SLO table, from the flat extras."""
+    extra = result.extra
+    lines = [f"{spec.function.name}/{spec.approach} [{keepalive}]: "
+             f"{extra['traffic_invocations']:.0f} invocations, cold ratio "
+             f"{extra['traffic_cold_ratio']:.4f}, p99.9 E2E "
+             f"{extra['traffic_p999_e2e'] * 1e3:.1f} ms",
+             "  tenant   requests  cold-ratio   p99 e2e p99.9 e2e  p99 cold"]
+    for tenant in range(spec.cluster.traffic.n_tenants):
+        slo = {key: extra[f"slo_t{tenant}_{key}"]
+               for key in ("requests", "cold_ratio", "p99_e2e",
+                           "p999_e2e", "p99_cold")}
+        lines.append(f"  t{tenant:<7d} {slo['requests']:8.0f}  "
+                     f"{slo['cold_ratio']:10.4f} "
+                     f"{slo['p99_e2e'] * 1e3:8.1f}ms "
+                     f"{slo['p999_e2e'] * 1e3:8.1f}ms "
+                     f"{slo['p99_cold'] * 1e3:8.1f}ms")
+    return "\n".join(lines)
+
+
+def _storage_summary(spec: ScenarioSpec, result, tier: str,
+                     policy: str) -> str:
+    """Dedup factor and bytes per tier, from the flat extras."""
+    head = f"{spec.function.name}/{spec.approach} [{tier} {policy}]:"
+    extra = result.extra
+    dedup = extra.get("snapstore_dedup_factor")
+    if dedup is None:
+        return f"{head} flat files (no snapstore)"
+    fetched = extra.get("snapstore_remote_fetch_bytes", 0.0)
+    return (f"{head} dedup {dedup:.2f}x, unique "
+            f"{extra['snapstore_unique_bytes'] / MIB:.0f} MiB, local "
+            f"{extra['snapstore_local_bytes'] / MIB:.0f} MiB, "
+            f"remote fetched {fetched / MIB:.0f} MiB")
+
+
+#: Every figure, in ``fig --all`` order.
+REGISTRY: dict[str, Figure] = {
+    # Fig. 3a: single-instance E2E latency.
+    "3a": Figure(
+        "E2E latency (s)", ("reap", "faasnap", "snapbpf"),
+        cell=_single, value=_e2e),
+    # Fig. 3b: E2E latency of concurrent instances, normalized.
+    "3b": Figure(
+        "E2E latency (normalized to Linux-NoRA)",
+        ("linux-nora", "linux-ra", "reap", "snapbpf"),
+        cell=_concurrent, value=_e2e, normalize="linux-nora",
+        notes=f"{CONCURRENT_INSTANCES} concurrent instances, "
+              f"identical inputs"),
+    # Fig. 3c: system-wide memory of the same runs as 3b.
+    "3c": Figure(
+        "Memory consumption (GiB)",
+        ("linux-nora", "linux-ra", "reap", "snapbpf"),
+        cell=_concurrent,
+        value=lambda result, _c, _m: result.peak_memory_bytes / GIB,
+        notes=f"{CONCURRENT_INSTANCES} concurrent instances"),
+    # Fig. 4: PV PTE marking alone vs full SnapBPF (PV + eBPF prefetch).
+    "4": Figure(
+        "Normalized E2E latency (Linux-RA = 1.0)",
+        ("linux-ra", "pv-ptes", "snapbpf"),
+        cell=_single, value=_e2e, normalize="linux-ra",
+        notes="single instance; lower is better"),
+    # §4 'SnapBPF Overheads': the offset load of single-instance SnapBPF.
+    "overheads": Figure(
+        "offset-load latency", ("map_load_ms", "fraction_of_e2e"),
+        cell=lambda profile, _column: _single(profile, "snapbpf"),
+        value=_map_load,
+        notes="map-load ms and fraction of E2E; paper: ~1-2 ms, <1%"),
+    # Memory-pressure elasticity (Fig. 3c's dynamic claim): one series
+    # per approach x headroom g, the pool sized by pressure_ram_bytes.
+    # File series deflate with g; uffd anonymous frames cannot be shed.
+    "mem": Figure(
+        "End-of-run footprint (GiB)",
+        tuple(product(("linux-ra", "reap", "snapbpf"), MEM_HEADROOMS)),
+        cell=_pressure_cell, value=_footprint, series=_mem_series,
+        notes=f"{CONCURRENT_INSTANCES} concurrent instances; g = headroom "
+              f"over the unreclaimable floor; file series deflate under "
+              f"pressure, anon/vm series stay pinned"),
+    # Routing policy x fleet size: snapshot-locality routing cuts the
+    # cold-start ratio versus random spraying for every approach.
+    "cluster": Figure(
+        "cold-start ratio", FLEET_APPROACHES, cell=cluster_cell_spec,
+        value=lambda result, _c, _m: result.extra["cluster_cold_ratio"],
+        axes=(CLUSTER_POLICIES, CLUSTER_NODE_COUNTS),
+        label=lambda profile, policy, n_nodes, _m:
+            f"{profile.name} {policy} n={n_nodes}",
+        base_functions=CLUSTER_BASE_FUNCTIONS,
         notes="snapshot-locality keeps each function's snapshot pages "
-              "hot on one node; random pays a cold cache per re-route")
-    for approach in approaches:
-        data.series[approach] = [
-            cache.get(cluster_cell_spec(p, approach, policy, n,
-                                        **cluster_kwargs))
-            .extra["cluster_cold_ratio"]
-            for p, policy, n in rows]
-    return data
-
-
-def traffic_figure_data(cache: ResultCache, profiles, approaches,
-                        keepalives=TRAFFIC_KEEPALIVES,
-                        traffic: TrafficSpec | None = None,
-                        quick: bool = False,
-                        **cluster_kwargs) -> FigureData:
-    """Keep-alive policy x metric rows, approach columns — shared by
-    :func:`figure_traffic` and the CLI's ``traffic`` command (which can
-    narrow the axes or shrink the workload)."""
-    rows = [(p, keepalive, key, label) for p in profiles
-            for keepalive in keepalives
-            for key, label in TRAFFIC_METRICS]
-    data = FigureData(
-        figure="traffic", ylabel="cold-start ratio / p99.9 E2E (s)",
-        functions=[f"{p.name} {keepalive} {label}"
-                   for p, keepalive, _, label in rows],
+              "hot on one node; random pays a cold cache per re-route",
+        quick=dict(axes=(("random", "snapshot-locality"), (2,)),
+                   cell=partial(cluster_cell_spec, duration=4.0))),
+    # Production-shaped load (Zipf popularity, diurnal + burst arrivals,
+    # multi-tenant mixes): approaches x keep-alive policies.
+    "traffic": Figure(
+        "cold-start ratio / p99.9 E2E (s)", FLEET_APPROACHES,
+        cell=traffic_cell_spec,
+        value=lambda result, _c, metric: result.extra[metric[0]],
+        axes=(TRAFFIC_KEEPALIVES,), metrics=TRAFFIC_METRICS,
+        label=lambda profile, keepalive, metric:
+            f"{profile.name} {keepalive} {metric[1]}",
+        summary=_traffic_summary, base_functions=CLUSTER_BASE_FUNCTIONS,
         notes="histogram keep-alive learns per-function idle times; "
-              "fixed parks every sandbox for the same TTL")
-    for approach in approaches:
-        data.series[approach] = [
-            cache.get(traffic_cell_spec(p, approach, keepalive,
-                                        traffic=traffic, quick=quick,
-                                        **cluster_kwargs)).extra[key]
-            for p, keepalive, key, _ in rows]
-    return data
-
-
-def figure_traffic(cache: ResultCache | None = None,
-                   functions=None) -> FigureData:
-    """Traffic figure: production-shaped load (Zipf popularity, diurnal
-    + burst arrivals, multi-tenant mixes) through the cluster plane,
-    comparing the four restore approaches x keep-alive policies on
-    cold-start ratio and p99.9 E2E latency."""
-    cache = cache or ResultCache()
-    approaches, _ = FIGURE_MATRIX["traffic"]
-    return traffic_figure_data(cache, _cluster_profiles(functions),
-                               approaches)
-
-
-def storage_figure_data(cache: ResultCache, profiles, approaches,
-                        tiers=None, policies=STORAGE_POLICIES,
-                        n_nodes: int = STORAGE_NODE_COUNT,
-                        **cluster_kwargs) -> FigureData:
-    """Tier config x routing policy x metric rows, approach columns —
-    shared by :func:`figure_storage` and the CLI's ``storage`` command
-    (which can narrow the axes or shrink the workload)."""
-    tier_names = list(tiers if tiers is not None else STORAGE_TIERS)
-    rows = [(p, tier, policy, key, label, scale)
-            for p in profiles for tier in tier_names
-            for policy in policies
-            for key, label, scale in STORAGE_METRICS]
-    data = FigureData(
-        figure="storage",
-        ylabel="cold-ratio / p99 E2E (s) / dedup / tier bytes (GiB)",
-        functions=[f"{p.name} {tier} {policy} {label}"
-                   for p, tier, policy, _, label, _ in rows],
+              "fixed parks every sandbox for the same TTL",
+        quick=dict(cell=partial(traffic_cell_spec, quick=True))),
+    # Snapshot tiering: tier configurations x routing policies, with the
+    # flat-file baseline alongside.
+    "storage": Figure(
+        "cold-ratio / p99 E2E (s) / dedup / tier bytes (GiB)",
+        ("linux-ra", "reap", "snapbpf"), cell=storage_cell_spec,
+        value=lambda result, _c, metric:
+            result.extra.get(metric[0], 0.0) * metric[2],
+        axes=(tuple(STORAGE_TIERS), STORAGE_POLICIES),
+        metrics=STORAGE_METRICS,
+        label=lambda profile, tier, policy, metric:
+            f"{profile.name} {tier} {policy} {metric[1]}",
+        summary=_storage_summary, base_functions=CLUSTER_BASE_FUNCTIONS,
         notes="local = identity config (byte-identical to flat); "
               "colder placements stage chunks through the shared remote "
-              "object store, so a locality miss costs real fetches")
-    for approach in approaches:
-        data.series[approach] = [
-            cache.get(storage_cell_spec(p, approach, tier, policy,
-                                        n_nodes=n_nodes, **cluster_kwargs))
-            .extra.get(key, 0.0) * scale
-            for p, tier, policy, key, _, scale in rows]
-    return data
-
-
-def figure_storage(cache: ResultCache | None = None,
-                   functions=None) -> FigureData:
-    """Storage figure: snapshot-tiering sweep through the cluster plane —
-    tier configurations x routing policies, reporting cold-start ratio,
-    p99 E2E, fleet dedup factor, and bytes per tier, with the flat-file
-    baseline alongside."""
-    cache = cache or ResultCache()
-    approaches, _ = FIGURE_MATRIX["storage"]
-    return storage_figure_data(cache, _cluster_profiles(functions),
-                               approaches)
-
-
-def figure_cluster(cache: ResultCache | None = None,
-                   functions=None) -> FigureData:
-    """Cluster figure: routing policy x fleet size sweep showing
-    snapshot-locality routing cutting the cold-start ratio versus
-    random spraying for every restore approach."""
-    cache = cache or ResultCache()
-    approaches, _ = FIGURE_MATRIX["cluster"]
-    return cluster_figure_data(cache, _cluster_profiles(functions),
-                               approaches)
-
-
-#: Builder function per figure name (shared by the CLI and benchmarks).
-FIGURE_BUILDERS = {
-    "3a": figure_3a,
-    "3b": figure_3b,
-    "3c": figure_3c,
-    "4": figure_4,
-    "overheads": overheads,
-    "mem": figure_mem,
-    "cluster": figure_cluster,
-    "traffic": figure_traffic,
-    "storage": figure_storage,
+              "object store, so a locality miss costs real fetches",
+        quick=dict(axes=(("flat", "local", "remote"), STORAGE_POLICIES),
+                   cell=partial(storage_cell_spec, n_nodes=2,
+                                **storage_cluster_kwargs(quick=True)))),
 }
+
+FIGURES: tuple[str, ...] = tuple(REGISTRY)
+
+
+def _variant(figure: str, quick: bool) -> Figure:
+    fig = REGISTRY[figure]
+    return replace(fig, **fig.quick) if quick and fig.quick else fig
+
+
+def _cells(fig: Figure, functions) -> list[tuple]:
+    """``(profile, column, point, spec)`` per cell, in sweep order."""
+    return [(profile, column, point, fig.cell(profile, column, *point))
+            for profile in _profiles(functions, fig.base_functions)
+            for column in fig.columns for point in product(*fig.axes)]
+
+
+def figure_specs(figure: str, functions=None,
+                 quick: bool = False) -> list[ScenarioSpec]:
+    """Every scenario cell one figure needs, as sweepable specs."""
+    return list(dict.fromkeys(
+        spec for *_, spec in _cells(_variant(figure, quick), functions)))
+
+
+def matrix_specs(figures=None, functions=None,
+                 quick: bool = False) -> list[ScenarioSpec]:
+    """The union of several figures' cells, deduplicated in first-seen
+    order (3b and 3c share every run, 3a and 4 share snapbpf x1)."""
+    return list(dict.fromkeys(
+        spec for figure in (FIGURES if figures is None else figures)
+        for spec in figure_specs(figure, functions, quick)))
 
 
 def build_figure(figure: str, cache: ResultCache | None = None,
-                 functions=None) -> FigureData:
-    """Build one figure by name against a (possibly pre-warmed) cache."""
-    return FIGURE_BUILDERS[figure](cache, functions=functions)
+                 functions=None, quick: bool = False) -> FigureData:
+    """Build one figure by name against a (possibly pre-warmed) cache,
+    reading exactly the cells :func:`figure_specs` names."""
+    fig = _variant(figure, quick)
+    cache = cache or ResultCache()
+    cells = _cells(fig, functions)
+    results = {(profile, column, point): cache.get(spec)
+               for profile, column, point, spec in cells}
+    rows = [(profile, point, metric)
+            for profile in _profiles(functions, fig.base_functions)
+            for point in product(*fig.axes) for metric in fig.metrics]
+    data = FigureData(
+        figure=figure, ylabel=fig.ylabel, notes=fig.notes,
+        functions=[fig.label(profile, *point, metric)
+                   for profile, point, metric in rows])
+    for column in fig.columns:
+        data.series[fig.series(column)] = [
+            fig.value(results[profile, column, point], column, metric)
+            for profile, point, metric in rows]
+    if fig.normalize:
+        base = data.series[fig.normalize]
+        data.series = {name: [v / b for v, b in zip(values, base)]
+                       for name, values in data.series.items()}
+    if fig.summary:
+        data.summary = [fig.summary(spec, results[profile, column, point],
+                                    *point)
+                        for profile, column, point, spec in cells]
+    return data
 
 
 def table_1() -> list[dict[str, str]]:

@@ -204,21 +204,6 @@ def _supervised_cell(payload) -> ScenarioResult:
     return execute_spec(spec)
 
 
-def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
-    """``[fn(item) for item in items]``, across ``jobs`` processes when
-    ``jobs > 1`` (order-preserving, as ``executor.map`` guarantees).
-
-    Fire-and-forget: a crashed worker raises ``BrokenProcessPool`` and
-    loses the whole batch.  Kept for simple helpers; batch sweeps go
-    through :func:`supervised_map`.
-    """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- supervision ------------------------------------------------------------
 
 class _CellTimeout(Exception):
@@ -884,11 +869,12 @@ class SweepOptions:
     """The shared sweep/supervision/chaos/serve knob surface, as one
     value.
 
-    Every sweeping entry point (the ``run``/``fig``/``chaos``/
-    ``cluster``/``traffic``/``storage`` CLI commands, and any library
-    caller that wants CLI-equivalent behaviour) accepts the same knobs; this
-    dataclass is the single definition of their names and defaults, so
-    a new command inherits the whole surface by calling
+    Every sweeping entry point (the ``run``/``fig``/``chaos`` CLI
+    commands, and any library caller that wants CLI-equivalent
+    behaviour) accepts the same knobs; ``cluster`` reads only the serve
+    knobs for its single fleet run.  This dataclass is the single
+    definition of their names and defaults, so a new command inherits
+    the whole surface by calling
     :meth:`from_args` on a namespace parsed with the shared parent
     parser (see ``repro.__main__``).
 

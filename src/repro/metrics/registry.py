@@ -336,10 +336,6 @@ class MetricsRegistry:
                 lines.append(f"{key} {collected[key]:g}")
             return "\n".join(lines) + ("\n" if lines else "")
 
-    def render(self) -> str:
-        """Deprecated alias for :meth:`text_exposition`."""
-        return self.text_exposition()
-
     def reset(self) -> None:
         with self.lock:
             for metric in self._metrics.values():

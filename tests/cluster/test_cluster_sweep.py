@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.harness.experiment import ResultCache, run_scenario
-from repro.harness.figures import cluster_cell_spec, cluster_figure_data
+from repro.harness.figures import build_figure, cluster_cell_spec
 from repro.harness.spec import ScenarioSpec
 from repro.harness.sweep import ResultStore, SweepRunner
 from repro.metrics.results import ScenarioResult
@@ -81,17 +81,14 @@ def test_serial_and_parallel_sweeps_agree(tmp_path):
 
 
 def test_cluster_figure_data_shape():
-    profile = tiny_profile()
-    cache = ResultCache()
-    data = cluster_figure_data(cache, [profile], ("snapbpf",),
-                               policies=("random", "snapshot-locality"),
-                               node_counts=(2,), **TINY_CLUSTER)
+    data = build_figure("cluster", ResultCache(),
+                        functions=[tiny_profile()], quick=True)
     assert data.ylabel == "cold-start ratio"
     assert data.functions == ["tiny random n=2",
                               "tiny snapshot-locality n=2"]
-    random_ratio = data.series["snapbpf"][0]
-    locality_ratio = data.series["snapbpf"][1]
-    assert locality_ratio <= random_ratio
+    assert list(data.series) == ["linux-ra", "reap", "faasnap", "snapbpf"]
+    for random_ratio, locality_ratio in data.series.values():
+        assert locality_ratio <= random_ratio
 
 
 def test_cluster_cell_spec_is_cacheable():

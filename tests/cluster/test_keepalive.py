@@ -1,5 +1,7 @@
 """Keep-alive policies: learned TTL boundaries, pre-warm hit vs miss."""
 
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.cluster.keepalive import (
@@ -8,7 +10,6 @@ from repro.cluster.keepalive import (
     make_keepalive_policy,
 )
 from repro.harness.experiment import make_kernel
-from repro.harness.sweep import parallel_map
 from repro.platform.node import FaaSNode
 from repro.platform.workload import Arrival
 from repro.units import MIB
@@ -151,8 +152,9 @@ def classify(probe):
 def test_boundary_identical_across_jobs():
     base = 4 * GAP + warm_latency() + GAP
     probes = [base, base + EPSILON, base - GAP / 2]
-    serial = parallel_map(classify, probes, jobs=1)
-    parallel = parallel_map(classify, probes, jobs=2)
+    serial = [classify(probe) for probe in probes]
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        parallel = list(pool.map(classify, probes))
     assert serial == parallel
     assert [c[-1] for c in serial] == [False, True, False]
 

@@ -176,23 +176,6 @@ def test_cluster_bad_policy(capsys):
     assert "policy" in capsys.readouterr().err
 
 
-def test_cluster_fig_bad_policy_list(capsys):
-    assert main(["cluster", "json", "--fig", "--policies",
-                 "random,bogus"]) == 2
-    assert "unknown routing policy" in capsys.readouterr().err
-
-
-def test_cluster_fig_smoke(capsys):
-    assert main(["cluster", "json", "snapbpf", "--fig",
-                 "--policies", "random,snapshot-locality",
-                 "--node-counts", "2", "--duration", "1",
-                 "--cluster-functions", "2"]) == 0
-    captured = capsys.readouterr()
-    assert "cold-start ratio" in captured.out
-    assert "snapshot-locality" in captured.out
-    assert "sweep:" in captured.err
-
-
 def test_fig_chaos_sweep_byte_identical(tmp_path, capsys):
     """The headline acceptance loop: every worker SIGKILLed on first
     attempt, every store write torn — yet the figure is byte-identical

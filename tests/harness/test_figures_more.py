@@ -3,7 +3,8 @@
 import pytest
 
 from repro.harness.experiment import ResultCache
-from repro.harness.figures import FigureData, _profiles, figure_3b
+from repro.harness.figures import (FigureData, _profiles, build_figure,
+                                   figure_specs)
 from repro.units import MIB
 from repro.workloads.profile import FUNCTIONS, FunctionProfile
 
@@ -21,15 +22,15 @@ def test_profiles_resolution_by_name_and_object(tiny):
     assert _profiles([tiny])[0] is tiny
 
 
-def test_figure_3b_unnormalized(tiny):
+def test_figure_3b_is_ratio_of_cached_e2e(tiny):
     cache = ResultCache()
-    raw = figure_3b(cache, functions=[tiny], normalize=False)
-    norm = figure_3b(cache, functions=[tiny], normalize=True)
-    nora = raw.value("tiny2", "linux-nora")
-    assert nora > 0.02  # absolute seconds, not a ratio
-    assert norm.value("tiny2", "snapbpf") == pytest.approx(
-        raw.value("tiny2", "snapbpf") / nora)
-    assert "(s)" in raw.ylabel and "normalized" in norm.ylabel
+    data = build_figure("3b", cache, functions=[tiny])
+    e2e = {spec.approach: cache.get(spec).mean_e2e
+           for spec in figure_specs("3b", functions=[tiny])}
+    assert e2e["linux-nora"] > 0.02  # absolute seconds, not a ratio
+    for approach, seconds in e2e.items():
+        assert data.value("tiny2", approach) == seconds / e2e["linux-nora"]
+    assert "normalized" in data.ylabel
 
 
 def test_figure_data_unknown_lookup_raises():

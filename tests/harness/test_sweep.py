@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.harness.experiment import ResultCache, run_scenario
-from repro.harness.figures import figure_3a, figure_specs, matrix_specs
+from repro.harness.figures import build_figure, figure_specs, matrix_specs
 from repro.harness.report import render_figure
 from repro.harness.spec import SCHEMA_VERSION, ScenarioSpec
 from repro.harness.sweep import (ResultStore, SweepOptions, SweepRunner,
@@ -115,12 +115,14 @@ def test_parallel_sweep_matches_serial_byte_for_byte(tiny_profile):
     serial_cache = ResultCache()
     SweepRunner(serial_cache, jobs=1).run(
         figure_specs("3a", functions=functions))
-    serial = render_figure(figure_3a(serial_cache, functions=functions))
+    serial = render_figure(build_figure("3a", serial_cache,
+                                         functions=functions))
 
     parallel_cache = ResultCache()
     runner = SweepRunner(parallel_cache, jobs=3)
     runner.run(figure_specs("3a", functions=functions))
-    parallel = render_figure(figure_3a(parallel_cache, functions=functions))
+    parallel = render_figure(build_figure("3a", parallel_cache,
+                                           functions=functions))
 
     assert parallel == serial
     assert runner.last_stats.executed == 3  # reap/faasnap/snapbpf

@@ -167,7 +167,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("reqs", help="total requests").inc(2)
         registry.histogram("lat", base=1.0, n_buckets=2).observe(1.5)
-        text = registry.render()
+        text = registry.text_exposition()
         assert "# HELP reqs total requests" in text
         assert "# TYPE reqs counter" in text
         assert "reqs 2" in text

@@ -5,11 +5,12 @@ A sandbox parks when its request completes; the reaper tears it down
 ``park_time + ttl`` must classify warm — the request's timeout event is
 scheduled before the reaper's, so it wins the tie deterministically —
 and that classification must be identical whether the scenario runs
-in-process or inside sweep worker processes (``parallel_map`` jobs).
+in-process or inside worker processes.
 """
 
+from concurrent.futures import ProcessPoolExecutor
+
 from repro.harness.experiment import make_kernel
-from repro.harness.sweep import parallel_map
 from repro.platform.node import FaaSNode
 from repro.platform.workload import Arrival
 from repro.units import MIB
@@ -61,7 +62,8 @@ def test_boundary_classification_identical_across_jobs():
     park_time = first_request_latency()
     arrivals = [park_time + TTL, park_time + TTL + EPSILON,
                 park_time + TTL / 2]
-    serial = parallel_map(run_pair, arrivals, jobs=1)
-    parallel = parallel_map(run_pair, arrivals, jobs=2)
+    serial = [run_pair(arrival) for arrival in arrivals]
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        parallel = list(pool.map(run_pair, arrivals))
     assert serial == parallel
     assert serial == [(True, False), (True, True), (True, False)]
