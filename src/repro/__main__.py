@@ -31,16 +31,15 @@ Commands:
                                a run started elsewhere with
                                --serve-state (HTTP + SSE + /metrics)
 
-``run``, ``fig``, ``chaos`` and ``cluster`` share the sweep flags (one
-parent parser, resolved into a single
-:class:`~repro.harness.sweep.SweepOptions` value handed to the runners;
-``cluster`` runs one fleet, not a sweep, and uses only the serve flags):
+``run``, ``fig`` and ``chaos`` share the sweep flags (one parent
+parser, resolved into a single
+:class:`~repro.harness.sweep.SweepOptions` value handed to the runners):
 ``--jobs N`` fans independent scenario cells out over N worker
 processes (results are byte-identical for every N), ``--cache-dir DIR``
 persists each finished cell in a content-addressed store *as it
 completes* so interrupted or warm reruns resume from exactly what was
 already computed, and ``--no-cache`` ignores the store for one
-invocation.  The supervisor flags ride along everywhere: ``--timeout``
+invocation.  The supervisor flags ride along: ``--timeout``
 puts a deadline on every cell, ``--max-retries`` bounds retries for
 worker crashes and timeouts, ``--keep-going`` finishes the sweep and
 reports permanently-failed cells in a failure manifest
@@ -49,13 +48,15 @@ reports permanently-failed cells in a failure manifest
 chaos knobs SIGKILL workers, hang cells past their deadline, and tear
 store writes to prove all of the above works.
 
-The same four commands also share the serve flags: ``--serve``
-self-hosts the control-room dashboard (``/``), the Prometheus scrape
-endpoint (``/metrics``), and the SSE stream (``/api/events``) for the
-duration of the run; ``--serve-state PATH`` atomically publishes each
-state snapshot to a JSON file that a separate ``repro serve --attach
-PATH`` process can watch; ``--serve-hold`` keeps the server up after
-the run finishes until SIGINT/SIGTERM (CI smoke tests, long scrapes).
+Those three commands and ``cluster`` share the serve flags, a second
+parent parser; ``cluster`` runs one fleet, not a sweep, and takes only
+these.  ``--serve`` self-hosts the control-room dashboard (``/``), the
+Prometheus scrape endpoint (``/metrics``), and the SSE stream
+(``/api/events``) for the duration of the run; ``--serve-state PATH``
+atomically publishes each state snapshot to a JSON file that a
+separate ``repro serve --attach PATH`` process can watch;
+``--serve-hold`` keeps the server up after the run finishes until
+SIGINT/SIGTERM (CI smoke tests, long scrapes).
 Serving is observation-only: results, figures, and fingerprints are
 byte-identical with and without it.
 
@@ -464,8 +465,8 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro", description="SnapBPF reproduction harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Sweep flags shared by run/fig/chaos/cluster (same semantics
-    # everywhere; cluster uses only the serve flags).
+    # Sweep and supervisor flags shared by run/fig/chaos (same
+    # semantics everywhere).
     sweep_flags = argparse.ArgumentParser(add_help=False)
     sweep_flags.add_argument(
         "-j", "--jobs", type=int, default=1,
@@ -510,24 +511,26 @@ def main(argv: list[str] | None = None) -> int:
     sweep_flags.add_argument(
         "--sweep-fault-seed", type=int, default=0,
         help="seed for the --sweep-*-rate chaos draws")
-    # Serve flags ride along on the same four commands.
-    sweep_flags.add_argument(
+    # Serve flags: run/fig/chaos, and cluster, which runs one fleet and
+    # takes only these.
+    serve_flags = argparse.ArgumentParser(add_help=False)
+    serve_flags.add_argument(
         "--serve", action="store_true",
         help="self-host the live control-room dashboard, /metrics "
              "scrape endpoint, and /api/events SSE stream for the "
              "duration of the run (observation-only)")
-    sweep_flags.add_argument(
+    serve_flags.add_argument(
         "--serve-host", default="127.0.0.1", metavar="HOST",
         help="bind address for --serve (default: 127.0.0.1)")
-    sweep_flags.add_argument(
+    serve_flags.add_argument(
         "--serve-port", type=int, default=8040, metavar="PORT",
         help="bind port for --serve; 0 picks an ephemeral port "
              "(default: 8040)")
-    sweep_flags.add_argument(
+    serve_flags.add_argument(
         "--serve-state", default=None, metavar="PATH",
         help="atomically publish each telemetry snapshot to this JSON "
              "file so 'repro serve --attach PATH' can watch the run")
-    sweep_flags.add_argument(
+    serve_flags.add_argument(
         "--serve-hold", action="store_true",
         help="with --serve: keep serving after the run finishes until "
              "SIGINT/SIGTERM (CI smoke tests, manual inspection)")
@@ -535,7 +538,7 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("list", help="list functions and approaches")
 
     run_parser = sub.add_parser("run", help="run one scenario",
-                                parents=[sweep_flags])
+                                parents=[sweep_flags, serve_flags])
     run_parser.add_argument("function")
     run_parser.add_argument("approach",
                             choices=sorted(approach_registry()))
@@ -555,7 +558,7 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("table1", help="regenerate Table 1")
 
     fig_parser = sub.add_parser("fig", help="regenerate figures",
-                                parents=[sweep_flags])
+                                parents=[sweep_flags, serve_flags])
     fig_parser.add_argument("figure", nargs="?", default=None,
                             choices=F.FIGURES)
     fig_parser.add_argument("--all", action="store_true",
@@ -569,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
 
     chaos_parser = sub.add_parser(
         "chaos", help="serve requests under a seeded fault schedule",
-        parents=[sweep_flags])
+        parents=[sweep_flags, serve_flags])
     chaos_parser.add_argument("function")
     chaos_parser.add_argument("approaches", nargs="*",
                               metavar="approach",
@@ -606,7 +609,7 @@ def main(argv: list[str] | None = None) -> int:
 
     cluster_parser = sub.add_parser(
         "cluster", help="run a multi-node fleet behind the routing gateway",
-        parents=[sweep_flags])
+        parents=[serve_flags])
     cluster_parser.add_argument("function", help="base function profile "
                                 "the cluster's function mix is cloned from")
     cluster_parser.add_argument("approach", nargs="?", default="snapbpf",

@@ -871,12 +871,12 @@ class SweepOptions:
 
     Every sweeping entry point (the ``run``/``fig``/``chaos`` CLI
     commands, and any library caller that wants CLI-equivalent
-    behaviour) accepts the same knobs; ``cluster`` reads only the serve
-    knobs for its single fleet run.  This dataclass is the single
-    definition of their names and defaults, so a new command inherits
-    the whole surface by calling
-    :meth:`from_args` on a namespace parsed with the shared parent
-    parser (see ``repro.__main__``).
+    behaviour) accepts the same knobs.  ``cluster`` runs one fleet, so
+    its parser takes only the serve flags; every other knob keeps its
+    default.  This dataclass is the single definition of the knobs'
+    names and defaults: a command calls :meth:`from_args` on a
+    namespace parsed with the shared parent parsers, sweep flags and
+    serve flags (see ``repro.__main__``).
 
     The factory methods resolve the raw knobs into live objects:
     :meth:`make_store` (content-addressed result store or None),

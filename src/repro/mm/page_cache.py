@@ -305,12 +305,11 @@ class PageCache:
                 return
             self._io_failed(entries, error)
             return
-        uptodate = self._uptodate
-        for entry, content in zip(entries,
-                                  file.contents(run_start, len(entries))):
+        contents = file.contents(run_start, len(entries))
+        self._uptodate.add_run(file.ino, run_start, len(entries))
+        for entry, content in zip(entries, contents):
             entry.frame.content = content
             entry.uptodate = True
-            uptodate.add(entry.ino, entry.index)
             event = entry.io_event
             entry.io_event = None
             if event is not None:

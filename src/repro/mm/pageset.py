@@ -67,6 +67,18 @@ class PageSet:
         self._total += 1
         return True
 
+    def add_run(self, ino: int, start: int, count: int) -> None:
+        """Mark ``[start, start + count)`` present, counting the newly
+        added pages in bulk."""
+        end = start + count
+        pages = self._maps.get(ino)
+        if pages is None or end > len(pages):
+            pages = self.ensure(ino, end)
+        added = pages.count(0, start, end)
+        pages[start:end] = b"\x01" * count
+        self._counts[ino] += added
+        self._total += added
+
     def discard(self, ino: int, index: int) -> bool:
         """Clear (ino, index); returns True if it was present."""
         pages = self._maps.get(ino)

@@ -5,10 +5,12 @@ A small, self-contained process-based DES kernel in the style of SimPy:
 *processes* are Python generators that ``yield`` events (timeouts, other
 processes, resource requests) to suspend until those events fire.
 
-Every other subsystem in :mod:`repro` (storage devices, page cache, vCPUs,
-userspace handler threads) is written as processes over this engine, which
-is what lets us measure end-to-end function invocation latency and
-system-wide memory over simulated time.
+Every other subsystem in :mod:`repro` (page cache, vCPUs, userspace
+handler threads) is written as processes over this engine, which is what
+lets us measure end-to-end function invocation latency and system-wide
+memory over simulated time.  Block devices, the hottest path, serve each
+request with callbacks on the events a process would wait on instead
+(see :mod:`repro.storage.device`).
 """
 
 from repro.sim.engine import (

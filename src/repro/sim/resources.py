@@ -23,7 +23,13 @@ class Request(Event):
     __slots__ = ("resource", "priority")
 
     def __init__(self, resource: "Resource", priority: int = 0):
-        super().__init__(resource.env)
+        # Event.__init__, inlined: one request per device stage.
+        self.env = resource.env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._defused = False
         self.resource = resource
         self.priority = priority
 
@@ -75,7 +81,12 @@ class Resource:
         req = Request(self, priority)
         if len(self._users) < self.capacity:
             self._users.add(req)
-            req.succeed(priority=URGENT)
+            # succeed(priority=URGENT), inlined: a free slot is the
+            # common case on the block-request path.
+            req._triggered = True
+            env = self.env
+            env._seq = seq = env._seq + 1
+            heapq.heappush(env._heap, (env._now, URGENT, seq, req))
         else:
             self._seq += 1
             heapq.heappush(self._heap, (priority, self._seq, req))
@@ -87,13 +98,12 @@ class Resource:
         self._users.remove(request)
         while self._heap and len(self._users) < self.capacity:
             _prio, _seq, nxt = heapq.heappop(self._heap)
-            if nxt._triggered:
-                continue  # cancelled
             self._users.add(nxt)
             nxt.succeed(priority=URGENT)
 
     def _remove_waiter(self, request: Request) -> None:
-        # Lazy removal: mark by triggering; release() skips it.
+        # Eager removal, so every heap entry is a live waiter and
+        # release() grants whatever it pops.
         for i, (_p, _s, req) in enumerate(self._heap):
             if req is request:
                 del self._heap[i]

@@ -10,11 +10,11 @@ is exactly the asymmetry SnapBPF's "metadata-only prefetch" design bets on.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from repro.metrics.registry import Histogram, MetricsRegistry
-from repro.sim import Environment, Event, Resource
+from repro.sim import Environment, Event, Resource, Timeout
+from repro.sim.engine import URGENT
 from repro.units import PAGE_SIZE
 
 READ = "read"
@@ -27,7 +27,7 @@ PRIO_SYNC = 0
 PRIO_READAHEAD = 10
 
 
-@dataclass
+@dataclass(slots=True)
 class IORequest:
     """One block-layer request: a contiguous byte range on the device."""
 
@@ -229,7 +229,6 @@ class BlockDevice:
         self._slots = Resource(env, capacity=queue_depth)
         self._controller = Resource(env, capacity=1)
         self._last_end: int | None = None
-        self._seq = itertools.count()
         #: Fault plane hook (duck-typed; see repro.faults).  When set,
         #: each request is submitted to ``fault_injector.on_request``,
         #: whose decision can fail the request with a media error after
@@ -253,8 +252,7 @@ class BlockDevice:
                 f"request [{request.offset}, {request.end}) exceeds device "
                 f"capacity {self.capacity_bytes}")
         request.submit_time = self.env.now
-        return self.env.process(self._serve(request),
-                                name=f"{self.name}-io-{next(self._seq)}")
+        return self._serve(request)
 
     def read(self, offset: int, nbytes: int) -> Event:
         return self.submit(IORequest(offset, nbytes, READ))
@@ -262,37 +260,10 @@ class BlockDevice:
     def write(self, offset: int, nbytes: int) -> Event:
         return self.submit(IORequest(offset, nbytes, WRITE))
 
-    def _serve(self, request: IORequest):
-        env = self.env
-        start = env.now
-        decision = (self.fault_injector.on_request(request)
-                    if self.fault_injector is not None else None)
-        multiplier = decision.multiplier if decision is not None else 1.0
-        slot = self._slots.request(priority=request.prio)
-        yield slot
-        try:
-            ctrl = self._controller.request(priority=request.prio)
-            yield ctrl
-            try:
-                sequential = self._last_end == request.offset
-                self._last_end = request.end
-                yield env.timeout(self.controller_time(request) * multiplier)
-            finally:
-                self._controller.release(ctrl)
-            yield env.timeout(
-                self.media_time(request, sequential) * multiplier)
-        finally:
-            self._slots.release(slot)
-        request.complete_time = env.now
-        duration = request.complete_time - start
-        failed = decision is not None and decision.error is not None
-        self._trace_request(request, start, sequential, failed)
-        if failed:
-            transient = decision.error != "persistent"
-            self.stats.record_failure(duration, transient)
-            raise BlockIOError(request, transient=transient)
-        self.stats.record_success(request, sequential, duration)
-        return request
+    def _serve(self, request: IORequest) -> Event:
+        """Start serving ``request`` at the current time; returns the
+        event that fires (URGENT) when it completes or fails."""
+        return _Service(self, request).done
 
     def _trace_request(self, request: IORequest, start: float,
                        sequential: bool, failed: bool) -> None:
@@ -316,3 +287,73 @@ class BlockDevice:
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<{type(self).__name__} {self.name} "
                 f"cap={self.capacity_bytes} qd={self.queue_depth}>")
+
+
+class _Service:
+    """One request in flight, served without a DES process.
+
+    Each stage is a bound method appended to the one event it waits
+    on: the start event (URGENT, at submit), the queue-slot grant, the
+    controller grant, the controller timeout and the media timeout.
+    The last stage fires ``done`` (URGENT) with the request, or fails
+    it with :class:`BlockIOError`.  These are the events, priorities
+    and scheduling order a generator process serving the request would
+    produce, so the simulation is the same event for event.
+    """
+
+    __slots__ = ("device", "request", "done", "start", "decision",
+                 "multiplier", "slot", "ctrl", "sequential")
+
+    def __init__(self, device: BlockDevice, request: IORequest):
+        self.device = device
+        self.request = request
+        self.done = Event(device.env)
+        begin = Event(device.env)
+        begin.callbacks.append(self.begin)
+        begin.succeed(priority=URGENT)
+
+    def begin(self, _event: Event) -> None:
+        device, request = self.device, self.request
+        self.start = device.env.now
+        injector = device.fault_injector
+        decision = self.decision = (injector.on_request(request)
+                                    if injector is not None else None)
+        self.multiplier = (decision.multiplier if decision is not None
+                           else 1.0)
+        slot = self.slot = device._slots.request(priority=request.prio)
+        slot.callbacks.append(self.admitted)
+
+    def admitted(self, _slot: Event) -> None:
+        ctrl = self.ctrl = self.device._controller.request(
+            priority=self.request.prio)
+        ctrl.callbacks.append(self.transfer)
+
+    def transfer(self, _ctrl: Event) -> None:
+        device, request = self.device, self.request
+        self.sequential = device._last_end == request.offset
+        device._last_end = request.end
+        Timeout(device.env, device.controller_time(request)
+                * self.multiplier).callbacks.append(self.transferred)
+
+    def transferred(self, _timeout: Event) -> None:
+        device = self.device
+        device._controller.release(self.ctrl)
+        Timeout(device.env, device.media_time(self.request, self.sequential)
+                * self.multiplier).callbacks.append(self.finish)
+
+    def finish(self, _timeout: Event) -> None:
+        device, request = self.device, self.request
+        device._slots.release(self.slot)
+        request.complete_time = device.env.now
+        duration = request.complete_time - self.start
+        decision = self.decision
+        failed = decision is not None and decision.error is not None
+        device._trace_request(request, self.start, self.sequential, failed)
+        if failed:
+            transient = decision.error != "persistent"
+            device.stats.record_failure(duration, transient)
+            self.done.fail(BlockIOError(request, transient=transient),
+                           priority=URGENT)
+            return
+        device.stats.record_success(request, self.sequential, duration)
+        self.done.succeed(request, priority=URGENT)

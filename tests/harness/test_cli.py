@@ -176,6 +176,16 @@ def test_cluster_bad_policy(capsys):
     assert "policy" in capsys.readouterr().err
 
 
+def test_cluster_rejects_sweep_flags(capsys):
+    """cluster runs one fleet: it takes the serve flags, not the sweep
+    and supervisor flags."""
+    with pytest.raises(SystemExit) as info:
+        main(["cluster", "json", "--jobs", "2"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--jobs" in err
+
+
 def test_fig_chaos_sweep_byte_identical(tmp_path, capsys):
     """The headline acceptance loop: every worker SIGKILLed on first
     attempt, every store write torn — yet the figure is byte-identical

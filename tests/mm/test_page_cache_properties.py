@@ -46,6 +46,10 @@ def test_cache_frame_accounting_invariant(ops):
         assert (kernel.frames.counters.file
                 == kernel.page_cache.cached_pages())
         assert kernel.frames.counters.anon == 0
+        # The uptodate set's bulk-kept count equals a recount.
+        uptodate = kernel.page_cache._uptodate
+        assert uptodate.count(file.ino) == len(uptodate) == sum(
+            kernel.page_cache.residency_bytes(file.ino, 0, FILE_PAGES))
 
     kernel.env.run()
     assert kernel.frames.counters.file == kernel.page_cache.cached_pages()

@@ -17,6 +17,16 @@ def test_immediate_grant_under_capacity(env):
     assert res.count == 2
 
 
+def test_free_slot_granted_urgently(env):
+    """An immediate grant fires before same-time NORMAL events that
+    were scheduled earlier, like any URGENT event."""
+    order = []
+    env.timeout(0).callbacks.append(lambda e: order.append("timeout"))
+    Resource(env).request().callbacks.append(lambda e: order.append("grant"))
+    env.run()
+    assert order == ["grant", "timeout"]
+
+
 def test_queueing_over_capacity(env):
     res = Resource(env, capacity=1)
     r1 = res.request()
@@ -76,6 +86,29 @@ def test_cancel_removes_waiter(env):
     assert res.queue_length == 0
     res.release(first)
     assert res.count == 0
+
+
+def test_cancel_middle_waiter_keeps_grant_order(env):
+    """Cancelling one queued waiter leaves the others granted in
+    (priority, request order), and the cancelled one never fires."""
+    res = Resource(env, capacity=1)
+    holder = res.request()
+    waiters = {}
+    order = []
+    for tag, priority in (("a", 5), ("b", 0), ("c", 5), ("d", 0),
+                          ("e", 10)):
+        req = waiters[tag] = res.request(priority=priority)
+        req.callbacks.append(lambda e, t=tag: order.append(t))
+    waiters["c"].cancel()
+    assert res.queue_length == 4
+    res.release(holder)
+    env.run()
+    while res.count:
+        res.release(waiters[order[-1]])
+        env.run()
+    assert order == ["b", "d", "a", "e"]
+    assert not waiters["c"].triggered
+    assert res.queue_length == 0
 
 
 def test_resource_in_process_usage(env):
