@@ -32,8 +32,8 @@ from repro.baselines import FaaSnap, Faast, LinuxNoRA, LinuxRA, REAP
 from repro.baselines.base import Approach, approach_registry
 from repro.cluster import ClusterSpec
 from repro.core import PVPTEsOnly, SnapBPF
-from repro.faults import FaultConfig, FaultSchedule, RetryPolicy
-from repro.harness.chaos import run_chaos_scenario, run_chaos_suite
+from repro.faults import ChaosSpec, FaultConfig, FaultSchedule, RetryPolicy
+from repro.harness.chaos import run_chaos_scenario
 from repro.harness.experiment import ResultCache, make_kernel, run_scenario
 from repro.harness.spec import ScenarioSpec
 from repro.harness.sweep import ResultStore, SweepRunner
@@ -53,6 +53,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Approach",
+    "ChaosSpec",
     "ClusterSpec",
     "FaaSNode",
     "FaaSnap",
@@ -86,7 +87,6 @@ __all__ = [
     "poisson_arrivals",
     "profile_by_name",
     "run_chaos_scenario",
-    "run_chaos_suite",
     "run_scenario",
     "__version__",
 ]

@@ -90,9 +90,9 @@ import threading
 
 from repro import GIB, MIB, FUNCTIONS, approach_registry, profile_by_name, run_scenario
 from repro.core.policies import policy_names
-from repro.faults import FaultConfig
+from repro.faults import DEFAULT_CHAOS, ChaosSpec, FaultConfig
 from repro.harness import figures as F
-from repro.harness.chaos import DEFAULT_CHAOS, render_chaos, run_chaos_suite
+from repro.harness.chaos import render_chaos
 from repro.harness.experiment import ResultCache
 from repro.harness.report import render_figure, render_table1
 from repro.harness.spec import ScenarioSpec
@@ -101,7 +101,6 @@ from repro.harness.sweep import (
     SweepInterrupted,
     SweepOptions,
     SweepRunner,
-    write_failure_manifest,
 )
 
 
@@ -189,6 +188,16 @@ class _ServeContext:
             self.server.stop()
 
 
+def _sweep_context(args) -> tuple[SweepOptions, SweepRunner, _ServeContext]:
+    """Resolve the shared sweep and serve flags: a runner over a fresh
+    cache (persisted per --cache-dir), with the serve plane attached."""
+    opts = SweepOptions.from_args(args)
+    cache = ResultCache(store=opts.make_store())
+    serving = _ServeContext(opts)
+    serving.attach_cache(cache)
+    return opts, opts.make_runner(cache, telemetry=serving.hub), serving
+
+
 def _sweep(runner: SweepRunner, specs, opts: SweepOptions) -> dict:
     """Run specs through the supervisor, honoring --failure-manifest
     whatever the outcome (an empty manifest is evidence of a clean
@@ -213,11 +222,7 @@ def cmd_run(args) -> int:
                         ram_bytes=(int(args.ram_gib * GIB)
                                    if args.ram_gib else None),
                         evict_policy=args.evict_policy)
-    opts = SweepOptions.from_args(args)
-    cache = ResultCache(store=opts.make_store())
-    serving = _ServeContext(opts)
-    serving.attach_cache(cache)
-    runner = opts.make_runner(cache, telemetry=serving.hub)
+    opts, runner, serving = _sweep_context(args)
     try:
         result = _sweep(runner, [spec], opts).get(spec)
     finally:
@@ -226,8 +231,8 @@ def cmd_run(args) -> int:
         print("error: scenario quarantined; see the failure manifest",
               file=sys.stderr)
         return 1
-    if cache.store is not None:
-        origin = "hit" if cache.disk_hits else "simulated, stored"
+    if runner.cache.store is not None:
+        origin = "hit" if runner.cache.disk_hits else "simulated, stored"
         print(f"cache: {origin} ({spec.stable_hash()[:12]})",
               file=sys.stderr)
     print(f"{profile.name}/{args.approach} x{args.instances} "
@@ -261,11 +266,7 @@ def cmd_fig(args) -> int:
         print("error: name a figure or pass --all", file=sys.stderr)
         return 2
     functions = args.functions.split(",") if args.functions else None
-    opts = SweepOptions.from_args(args)
-    cache = ResultCache(store=opts.make_store())
-    serving = _ServeContext(opts)
-    serving.attach_cache(cache)
-    runner = opts.make_runner(cache, telemetry=serving.hub)
+    opts, runner, serving = _sweep_context(args)
     try:
         _sweep(runner, F.matrix_specs(figures, functions, args.quick), opts)
         if runner.last_manifest:
@@ -273,7 +274,7 @@ def cmd_fig(args) -> int:
                   f"quarantined; figures will re-attempt them inline",
                   file=sys.stderr)
         for figure in figures:
-            data = F.build_figure(figure, cache, functions=functions,
+            data = F.build_figure(figure, runner.cache, functions=functions,
                                   quick=args.quick)
             print("\n".join([render_figure(data), *data.summary]))
     finally:
@@ -302,39 +303,32 @@ def cmd_chaos(args) -> int:
         overrides["attach_failure_rate"] = args.attach_failure_rate
     if args.reclaim_stall_rate:
         overrides["reclaim_stall_rate"] = args.reclaim_stall_rate
-    config = DEFAULT_CHAOS
-    if overrides:
-        try:
-            config = dataclasses.replace(DEFAULT_CHAOS, **overrides)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    failures: list = []
-    opts = SweepOptions.from_args(args)
-    serving = _ServeContext(opts)
     try:
-        results = run_chaos_suite(profile, approaches, config=config,
-                                  fault_seed=args.fault_seed,
-                                  n_requests=args.requests,
-                                  request_deadline=args.deadline,
-                                  device_kind=args.device,
-                                  ram_bytes=(int(args.ram_gib * GIB)
-                                             if args.ram_gib else None),
-                                  jobs=opts.jobs, store=opts.make_store(),
-                                  timeout=opts.timeout,
-                                  max_retries=opts.max_retries,
-                                  keep_going=opts.keep_going,
-                                  injector=opts.make_injector(),
-                                  failures_out=failures,
-                                  telemetry=serving.hub)
+        chaos = ChaosSpec(config=dataclasses.replace(DEFAULT_CHAOS,
+                                                     **overrides),
+                          fault_seed=args.fault_seed,
+                          n_requests=args.requests,
+                          request_deadline=args.deadline)
+        specs = [ScenarioSpec(function=profile, approach=name,
+                              device_kind=args.device,
+                              ram_bytes=(int(args.ram_gib * GIB)
+                                         if args.ram_gib else None),
+                              chaos=chaos)
+                 for name in approaches]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    opts, runner, serving = _sweep_context(args)
+    try:
+        results = _sweep(runner, specs, opts)
     finally:
         serving.finish()
-    if args.failure_manifest:
-        write_failure_manifest(args.failure_manifest, failures)
-    if failures:
-        print(f"warning: {len(failures)} chaos cell(s) quarantined",
-              file=sys.stderr)
-    print(render_chaos(results))
+    if runner.last_manifest:
+        print(f"warning: {len(runner.last_manifest)} chaos cell(s) "
+              f"quarantined", file=sys.stderr)
+    print(render_chaos([(spec, results[spec]) for spec in specs
+                        if spec in results]))
+    print(runner.last_stats.summary(), file=sys.stderr)
     return 0
 
 

@@ -18,11 +18,10 @@ count, which the store-replay tests pin.
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass, field, replace
 
-from repro.metrics.registry import MetricsRegistry
+from repro.metrics.registry import MetricsRegistry, nearest_rank
 from repro.metrics.results import ScenarioResult
 from repro.mm.kernel import Kernel
 from repro.platform.node import FaaSNode
@@ -139,9 +138,7 @@ class ClusterReport:
         values = sorted(self.latencies())
         if not values:
             return 0.0
-        index = min(len(values) - 1,
-                    max(0, math.ceil(p / 100 * len(values)) - 1))
-        return values[index]
+        return values[nearest_rank(len(values), p)]
 
     def per_node_served(self) -> dict[int, int]:
         out: dict[int, int] = {}

@@ -38,7 +38,6 @@ from repro.platform.node import WARM_RESUME_SECONDS, RequestResult
 from repro.platform.workload import Arrival
 from repro.sim import Environment
 from repro.trace import Tracer
-from repro.units import GIB
 from repro.workloads.profile import profile_by_name
 from repro.workloads.trace import generate_trace
 from repro.workloads.traffic import TrafficProcess
@@ -67,19 +66,19 @@ def calibrate_service_times(approach_name: str, shapes: tuple[str, ...],
                             costs=None) -> dict[str, ServiceTimes]:
     """Measure cold/warm/prepare seconds per shape with real mini-runs.
 
-    Each shape gets a fresh private kernel: record phase (prepare), a
-    cache drop, one cold spawn+invoke, then one warm resume+invoke on
-    the same sandbox — the exact sequence a node's first two requests
-    for a function experience, measured in simulated seconds.
+    Each shape gets a fresh private kernel (``ram_bytes`` applies as in
+    :func:`~repro.harness.experiment.make_kernel`): record phase
+    (prepare), a cache drop, one cold spawn+invoke, then one warm
+    resume+invoke on the same sandbox — the exact sequence a node's
+    first two requests for a function experience, measured in simulated
+    seconds.
     """
     from repro.harness.experiment import make_kernel
 
     factory = approach_registry()[approach_name]
     out: dict[str, ServiceTimes] = {}
     for shape in shapes:
-        kernel = make_kernel(device_kind,
-                             ram_bytes if ram_bytes is not None
-                             else 256 * GIB, costs)
+        kernel = make_kernel(device_kind, ram_bytes, costs)
         env = kernel.env
         profile = profile_by_name(shape)
         approach = factory(kernel)

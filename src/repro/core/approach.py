@@ -79,8 +79,8 @@ class SnapBPF(Approach):
         #: setup failed — metadata unreadable, groups map overflowed
         #: after a capacity squeeze, or the program would not attach.
         self.prefetch_fallbacks = 0
-        # Degradation counters are plain attributes (the chaos harness
-        # reads them directly); the registry sees them via a collector.
+        # Degradation counters are plain attributes (result extras read
+        # them directly); the registry sees them via a collector.
         # Multiple instances on one kernel sum, by collector semantics.
         kernel.metrics.register_collector(lambda: {
             "approach_captured_pages": self.captured_pages,

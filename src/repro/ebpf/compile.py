@@ -27,8 +27,10 @@ The one deliberate divergence: the instruction budget is enforced at
 basic-block granularity, so a run that *exhausts* the budget faults at
 the same reported pc and count but without replaying the faulting
 block's partial side effects.  Verified programs never reach the budget
-(the verifier bounds their loops); the fallback interpreter
-(``REPRO_EBPF_INTERP=1``) keeps the per-instruction behaviour.
+(the verifier bounds their loops); the interpreter, which runs
+programs this module rejects with :class:`CompileError` and is the
+reference the equivalence fuzz compares against, keeps the
+per-instruction behaviour.
 
 Compiled code objects are cached by program *structure* (instruction
 tuple, map table names, kfunc signatures), so the many per-VM clones of

@@ -13,7 +13,6 @@ runs — eBPF overhead is part of what the paper measures.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable
@@ -111,13 +110,13 @@ def _to_signed(value: int) -> int:
 class Interpreter:
     """Executes programs; shared helper/kfunc environment.
 
-    Two execution tiers share this entry point.  By default a program is
-    *compiled* on first run — translated once into a Python closure with
-    identical semantics (see :mod:`repro.ebpf.compile`) — and every
-    later run executes the closure.  Setting ``REPRO_EBPF_INTERP=1`` in
-    the environment (or ``use_compiled = False`` on an instance) falls
-    back to the per-instruction interpreter loop, which the equivalence
-    fuzz harness runs side by side with the compiled tier.
+    Two execution tiers share this entry point.  A program is *compiled*
+    on first run — translated once into a Python closure with identical
+    semantics (see :mod:`repro.ebpf.compile`) — and every later run
+    executes the closure.  The per-instruction interpreter loop runs
+    programs the compiler rejects (``CompileError``) and, with
+    ``use_compiled = False`` on an instance, serves as the reference the
+    equivalence fuzz harness runs side by side with the compiled tier.
     """
 
     def __init__(self, kfuncs: KfuncRegistry | None = None,
@@ -133,10 +132,9 @@ class Interpreter:
         #: here).  ``None`` makes the helper report 0 — a standalone
         #: interpreter has no page cache to inspect.
         self.page_stats = None
-        #: Tier switch: compiled closures by default, interpreter loop
-        #: when the escape hatch is set.
-        self.use_compiled = os.environ.get(
-            "REPRO_EBPF_INTERP", "") not in ("1", "true", "yes", "on")
+        #: Tier switch: compiled closures unless a test turns it off to
+        #: run the interpreter loop as the reference.
+        self.use_compiled = True
 
     def run(self, program: Program, ctx: bytes = b"",
             budget: int = INSN_BUDGET) -> ExecutionResult:
@@ -166,7 +164,9 @@ class Interpreter:
 
     def interpret(self, program: Program, ctx: bytes = b"",
                   budget: int = INSN_BUDGET) -> ExecutionResult:
-        """The per-instruction fallback tier (``REPRO_EBPF_INTERP=1``)."""
+        """The per-instruction tier: the fallback for programs the
+        compiler rejects, and the reference the compiled tier is fuzzed
+        against."""
         stack = _Region(bytearray(STACK_SIZE), writable=True, name="stack")
         ctx_region = _Region(bytes(ctx), writable=False, name="ctx")
         regs: list[object] = [None] * NUM_REGS

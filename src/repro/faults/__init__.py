@@ -30,11 +30,16 @@ that a whole chaos run is reproducible from a single RNG seed:
 The degradation machinery that *consumes* faults lives with each layer
 (page-cache retry/backoff, SnapBPF's demand-paging fallback, node-level
 deadlines and cold-start retries); :class:`RetryPolicy` here is the
-shared knob for bounded exponential backoff.
+shared knob for bounded exponential backoff.  :class:`ChaosSpec` (with
+the standard :data:`DEFAULT_CHAOS` mix) describes one chaos cell's
+serving phase; nested in a ``ScenarioSpec`` it runs through the same
+sweep runner and result store as every other cell.
 """
 
 from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import (
+    DEFAULT_CHAOS,
+    ChaosSpec,
     FaultConfig,
     FaultSchedule,
     FaultStats,
@@ -59,6 +64,8 @@ from repro.faults.sweep import (
 )
 
 __all__ = [
+    "ChaosSpec",
+    "DEFAULT_CHAOS",
     "DeviceFaultDecision",
     "DeviceFaultInjector",
     "EbpfFaultInjector",

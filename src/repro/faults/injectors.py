@@ -123,8 +123,9 @@ class MemFaultInjector:
     """Reclaim stalls: kswapd wakes but loses the CPU before scanning.
 
     The injector keeps its own ``reclaim_stalls`` counter rather than a
-    :class:`FaultStats` field so chaos fingerprints of configs that never
-    enable the pressure plane stay byte-identical to earlier releases.
+    :class:`FaultStats` field (every chaos result's metrics carry each
+    ``fault_*`` field), so chaos results of configs that never enable
+    the pressure plane stay byte-identical to earlier releases.
     """
 
     def __init__(self, rng: random.Random, config: FaultConfig,
@@ -133,7 +134,8 @@ class MemFaultInjector:
         self.config = config
         self.stats = stats
         self._forced_stalls = 0
-        #: Stalls injected so far (surfaced via chaos approach counters).
+        #: Stalls injected so far (kswapd counts the ones it served in
+        #: ``reclaim_stalls_total``).
         self.reclaim_stalls = 0
 
     def stall_next(self, n: int = 1) -> None:
@@ -163,8 +165,8 @@ class NodeFaultInjector:
 
     Like :class:`MemFaultInjector`, the crash count lives here as a
     plain attribute rather than a :class:`FaultStats` field, so chaos
-    fingerprints of single-node configs (which embed the FaultStats key
-    set) stay byte-identical when the crash kind is inactive.
+    results of single-node configs (whose metrics carry the FaultStats
+    key set) stay byte-identical when the crash kind is inactive.
     """
 
     def __init__(self, rng: random.Random, config: FaultConfig,
@@ -212,9 +214,9 @@ class RemoteFetchInjector:
     """Remote-fetch EIOs and latency stalls for the snapstore.
 
     Like :class:`MemFaultInjector`, the counters live here as plain
-    attributes rather than :class:`FaultStats` fields, so chaos
-    fingerprints of configs without a snapstore (which embed the
-    FaultStats key set) stay byte-identical to earlier releases.
+    attributes rather than :class:`FaultStats` fields, so chaos results
+    of configs without a snapstore (whose metrics carry the FaultStats
+    key set) stay byte-identical to earlier releases.
     """
 
     def __init__(self, rng: random.Random, config: FaultConfig,

@@ -10,7 +10,7 @@ is a pure function of ``(workload seed, fault seed, config)``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,63 @@ class FaultConfig:
             raise ValueError("reclaim_stall_seconds must be >= 0")
         if self.remote_fetch_stall_seconds < 0.0:
             raise ValueError("remote_fetch_stall_seconds must be >= 0")
+
+
+#: The standard chaos mix: 1 % transient media errors, a few latency
+#: spikes, and the odd torn snapshot page.  Deliberately *no* persistent
+#: errors: a persistent fault marks the extent bad forever, and a bad
+#: extent inside the one shared snapshot file makes every later cold
+#: start of that function unservable — real deployments handle that by
+#: re-replicating the snapshot, which is outside this model.  Persistent
+#: faults stay available through :class:`FaultConfig` and the forcing
+#: hooks for targeted tests.
+DEFAULT_CHAOS = FaultConfig(
+    media_error_rate=0.01,
+    latency_spike_rate=0.02,
+    latency_spike_multiplier=8.0,
+    torn_page_rate=0.002,
+)
+
+
+@dataclass(frozen=True)
+class ChaosSpec:
+    """The serving phase of one chaos cell.
+
+    Nested in :class:`~repro.harness.spec.ScenarioSpec` as ``chaos``: the
+    scenario serves ``n_requests`` cold starts on one node, one every
+    :data:`~repro.harness.chaos.REQUEST_INTERVAL` seconds, under
+    ``FaultSchedule(fault_seed, config)`` installed after a clean record
+    phase.  ``request_deadline`` bounds each request in seconds
+    (``None`` = unbounded).
+    """
+
+    config: FaultConfig = DEFAULT_CHAOS
+    fault_seed: int = 0
+    n_requests: int = 8
+    request_deadline: float | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.config, FaultConfig):
+            raise TypeError(f"config must be a FaultConfig, "
+                            f"got {type(self.config).__name__}")
+        if self.n_requests < 1:
+            raise ValueError(f"n_requests must be >= 1, "
+                             f"got {self.n_requests}")
+        if self.request_deadline is not None and self.request_deadline <= 0:
+            raise ValueError(f"request_deadline must be positive or None, "
+                             f"got {self.request_deadline}")
+
+    def canonical(self) -> dict:
+        return {"config": asdict(self.config),
+                "fault_seed": self.fault_seed,
+                "n_requests": self.n_requests,
+                "request_deadline": self.request_deadline}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ChaosSpec":
+        data = dict(data)
+        data["config"] = FaultConfig(**data["config"])
+        return cls(**data)
 
 
 @dataclass

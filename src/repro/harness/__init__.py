@@ -1,13 +1,9 @@
 """Experiment harness: scenario runner + figure/table regeneration."""
 
 from repro.harness.chaos import (
-    DEFAULT_CHAOS,
-    ChaosResult,
-    chaos_key,
     fixed_interval_arrivals,
     render_chaos,
     run_chaos_scenario,
-    run_chaos_suite,
 )
 from repro.harness.experiment import ResultCache, make_kernel, run_scenario
 from repro.harness.figures import (
@@ -30,8 +26,6 @@ from repro.harness.sweep import (
 
 __all__ = [
     "CONCURRENT_INSTANCES",
-    "ChaosResult",
-    "DEFAULT_CHAOS",
     "FIGURES",
     "FigureData",
     "ResultCache",
@@ -41,7 +35,6 @@ __all__ = [
     "SweepRunner",
     "SweepStats",
     "build_figure",
-    "chaos_key",
     "execute_spec",
     "figure_specs",
     "fixed_interval_arrivals",
@@ -52,7 +45,6 @@ __all__ = [
     "render_table",
     "render_table1",
     "run_chaos_scenario",
-    "run_chaos_suite",
     "run_scenario",
     "table_1",
 ]

@@ -1,128 +1,42 @@
-"""Chaos harness: run the baselines under a deterministic fault schedule.
+"""Chaos cells: serve a request train under a deterministic fault schedule.
 
-One chaos scenario = one :class:`~repro.platform.node.FaaSNode` serving a
-fixed-interval request train while a seeded
-:class:`~repro.faults.FaultSchedule` injects media errors, latency
-spikes, torn snapshot pages, and BPF attach failures.  The record phase
-runs clean (operators stage snapshots under controlled conditions);
-chaos applies to serving, which is where the paper's latency race — and
-therefore the degradation ladder — lives.
+A chaos cell is a :class:`~repro.harness.spec.ScenarioSpec` with a
+nested :class:`~repro.faults.ChaosSpec`: one
+:class:`~repro.platform.node.FaaSNode` serves a fixed-interval request
+train while a seeded :class:`~repro.faults.FaultSchedule` injects media
+errors, latency spikes, torn snapshot pages, and BPF attach failures.
+The record phase runs clean (operators stage snapshots under controlled
+conditions); chaos applies to serving, which is where the paper's
+latency race — and therefore the degradation ladder — lives.
 
-The whole run is a pure function of ``(profile, approach, config,
-fault_seed)``: :meth:`ChaosResult.fingerprint` is byte-identical across
-runs and processes with the same seed, which is what the determinism
-tests (and CI) assert.
+``run_scenario`` routes such a spec to :func:`run_chaos_scenario`, so
+chaos cells share the sweep runner, the result store and the
+determinism contract of every other cell: the result's ``to_json()`` is
+byte-identical across runs and processes for the same spec.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
-from repro.faults import FaultConfig, FaultSchedule
-from repro.harness.experiment import make_kernel
+from repro.faults import FaultSchedule
+from repro.harness.experiment import (DEGRADATION_COUNTERS,
+                                      degradation_extras, make_kernel)
 from repro.harness.report import render_table
-from repro.harness.spec import stable_hash, SCHEMA_VERSION
-from repro.mm.costs import CostModel
-from repro.platform.node import FaaSNode, NodeReport, RequestResult
-from repro.platform.workload import Arrival, MemorySample
+from repro.harness.spec import ScenarioSpec, stable_hash
+from repro.metrics.results import ScenarioResult
+from repro.platform.node import FaaSNode
+from repro.platform.workload import Arrival
 from repro.workloads.profile import FunctionProfile
 
-#: The standard chaos mix: 1 % transient media errors, a few latency
-#: spikes, and the odd torn snapshot page.  Deliberately *no* persistent
-#: errors: a persistent fault marks the extent bad forever, and a bad
-#: extent inside the one shared snapshot file makes every later cold
-#: start of that function unservable — real deployments handle that by
-#: re-replicating the snapshot, which is outside this model.  Persistent
-#: faults stay available through :class:`~repro.faults.FaultConfig` and
-#: the forcing hooks for targeted tests.
-DEFAULT_CHAOS = FaultConfig(
-    media_error_rate=0.01,
-    latency_spike_rate=0.02,
-    latency_spike_multiplier=8.0,
-    torn_page_rate=0.002,
+#: Seconds between consecutive requests of a chaos train.
+REQUEST_INTERVAL = 0.25
+
+#: Reclaim-plane registry counters the degradations column shows when
+#: nonzero, under their column names.
+RECLAIM_DEGRADATIONS = (
+    ("reclaim_evictions", "reclaim_reclaimed_total"),
+    ("reclaim_kswapd_wakeups", "reclaim_kswapd_wakeups_total"),
+    ("reclaim_stalls", "reclaim_stalls_total"),
 )
-
-#: Degradation counters an approach instance may expose; surfaced in the
-#: result whenever nonzero.
-APPROACH_FAULT_COUNTERS = (
-    "capture_attach_failures",
-    "prefetch_fallbacks",
-    "prefetch_aborts",
-    "demand_retries",
-    "demand_fetch_failures",
-)
-
-
-@dataclass
-class ChaosResult:
-    """Everything one chaos run produced, fingerprintable."""
-
-    approach: str
-    function: str
-    fault_seed: int
-    report: NodeReport
-    #: FaultStats.snapshot(): what the schedule injected.
-    fault_stats: dict[str, int]
-    device_errors: int
-    cache_io_retries: int
-    cache_io_failures: int
-    #: Nonzero approach-level degradation counters (fallbacks, aborts).
-    approach_counters: dict[str, int]
-
-    def fingerprint(self) -> str:
-        """Exact digest of every number in the run.  Two runs with the
-        same seeds must produce byte-identical fingerprints."""
-        per_request = [(r.function, r.arrival_time, r.latency, r.cold,
-                        r.status, r.retries) for r in self.report.results]
-        return repr((
-            per_request,
-            self.report.peak_memory_bytes,
-            sorted(self.fault_stats.items()),
-            self.device_errors,
-            self.cache_io_retries,
-            self.cache_io_failures,
-            sorted(self.approach_counters.items()),
-        ))
-
-    # -- serialization (the sweep store's "chaos" kind) ---------------------
-    def to_dict(self) -> dict:
-        return {
-            "approach": self.approach,
-            "function": self.function,
-            "fault_seed": self.fault_seed,
-            "report": {
-                "results": [asdict(r) for r in self.report.results],
-                "memory_timeline": [asdict(s)
-                                    for s in self.report.memory_timeline],
-                "peak_memory_bytes": self.report.peak_memory_bytes,
-            },
-            "fault_stats": dict(self.fault_stats),
-            "device_errors": self.device_errors,
-            "cache_io_retries": self.cache_io_retries,
-            "cache_io_failures": self.cache_io_failures,
-            "approach_counters": dict(self.approach_counters),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaosResult":
-        report = NodeReport(
-            results=[RequestResult(**r)
-                     for r in data["report"]["results"]],
-            memory_timeline=[MemorySample(**s)
-                             for s in data["report"]["memory_timeline"]],
-            peak_memory_bytes=data["report"]["peak_memory_bytes"],
-        )
-        return cls(
-            approach=data["approach"],
-            function=data["function"],
-            fault_seed=data["fault_seed"],
-            report=report,
-            fault_stats=dict(data["fault_stats"]),
-            device_errors=data["device_errors"],
-            cache_io_retries=data["cache_io_retries"],
-            cache_io_failures=data["cache_io_failures"],
-            approach_counters=dict(data["approach_counters"]),
-        )
 
 
 def fixed_interval_arrivals(profile: FunctionProfile, n_requests: int,
@@ -134,242 +48,82 @@ def fixed_interval_arrivals(profile: FunctionProfile, n_requests: int,
             for i in range(n_requests)]
 
 
-def run_chaos_scenario(profile: FunctionProfile,
-                       approach,
-                       config: FaultConfig = DEFAULT_CHAOS,
-                       fault_seed: int = 0,
-                       n_requests: int = 8,
-                       interval: float = 0.25,
-                       warm_pool_ttl: float | None = None,
-                       request_deadline: float | None = None,
-                       device_kind: str = "ssd",
-                       costs: CostModel | None = None,
-                       ram_bytes: int | None = None) -> ChaosResult:
-    """Serve ``n_requests`` under an installed fault schedule.
+def run_chaos_scenario(spec: ScenarioSpec) -> ScenarioResult:
+    """Serve ``spec.chaos.n_requests`` cold starts under an installed
+    fault schedule.
 
     The schedule is installed *after* the record phase so preparation is
     clean and every injected fault lands on the serving path under test.
-    ``ram_bytes`` sizes the frame pool AND enables the memory-pressure
-    plane (watermarks + kswapd), so reclaim stalls become injectable;
-    the default keeps the unpressured kernel and its exact fingerprints.
+    The result holds the host's registry snapshot, the node's peak
+    memory and, in ``extra``, the approach's nonzero degradation
+    counters, the mean cold-start latency (``chaos_mean_cold_latency``)
+    and a digest of every request's outcome (``chaos_digest``).
     """
-    if ram_bytes is not None:
-        kernel = make_kernel(device_kind, costs=costs, ram_bytes=ram_bytes)
-        kernel.reclaim.enable_watermarks()
-    else:
-        kernel = make_kernel(device_kind, costs=costs)
-    node = FaaSNode(kernel, approach, [profile],
-                    warm_pool_ttl=warm_pool_ttl,
-                    request_deadline=request_deadline)
+    chaos = spec.chaos
+    if chaos is None:
+        raise ValueError("spec.chaos is not set")
+    kernel = make_kernel(spec.device_kind, spec.ram_bytes, spec.costs)
+    node = FaaSNode(kernel, spec.approach, [spec.function],
+                    request_deadline=chaos.request_deadline)
     env = kernel.env
     env.run(env.process(node.prepare(), name="chaos-prepare"))
-    schedule = FaultSchedule(seed=fault_seed, config=config).install(kernel)
+    FaultSchedule(seed=chaos.fault_seed, config=chaos.config).install(kernel)
+    report = node.run(fixed_interval_arrivals(
+        spec.function, chaos.n_requests, REQUEST_INTERVAL, spec.input_seed))
 
-    report = node.run(fixed_interval_arrivals(profile, n_requests, interval))
-
-    approach_obj = node.approaches[profile.name]
-    counters = {name: getattr(approach_obj, name)
-                for name in APPROACH_FAULT_COUNTERS
-                if getattr(approach_obj, name, 0)}
-    # Reclaim-plane activity joins the fingerprint through the same
-    # nonzero-only dict, so unpressured runs (reclaim never fires) keep
-    # their historical fingerprints byte-for-byte.
-    reclaim_stats = kernel.reclaim.stats
-    for name, value in (
-            ("reclaim_evictions", reclaim_stats.reclaimed),
-            ("reclaim_kswapd_wakeups", reclaim_stats.kswapd_wakeups),
-            ("reclaim_stalls", schedule.mm.reclaim_stalls)):
-        if value:
-            counters[name] = int(value)
-    return ChaosResult(
-        approach=approach_obj.name,
-        function=profile.name,
-        fault_seed=fault_seed,
-        report=report,
-        fault_stats=schedule.stats.snapshot(),
-        device_errors=kernel.device.stats.errors,
-        cache_io_retries=kernel.page_cache.stats.io_retries,
-        cache_io_failures=kernel.page_cache.stats.io_failures,
-        approach_counters=counters,
-    )
+    approach = node.approaches[spec.function_name]
+    cold = report.latencies(cold=True)
+    outcomes = [[r.function, r.arrival_time, r.latency, r.cold, r.status,
+                 r.retries] for r in report.results]
+    result = ScenarioResult(
+        function=spec.function_name, approach=approach.name, n_instances=1,
+        peak_memory_bytes=report.peak_memory_bytes,
+        extra=degradation_extras(approach),
+        metrics=kernel.metrics.snapshot())
+    result.extra["chaos_mean_cold_latency"] = (
+        sum(cold) / len(cold) if cold else 0.0)
+    result.extra["chaos_digest"] = float(int(stable_hash(outcomes)[:12], 16))
+    return result
 
 
-def chaos_key(profile: FunctionProfile, approach: str,
-              config: FaultConfig = DEFAULT_CHAOS,
-              fault_seed: int = 0, n_requests: int = 8,
-              interval: float = 0.25,
-              warm_pool_ttl: float | None = None,
-              request_deadline: float | None = None,
-              device_kind: str = "ssd",
-              costs: CostModel | None = None,
-              ram_bytes: int | None = None) -> str:
-    """Content address of one chaos run — every argument that determines
-    the outcome, hashed under the shared schema version (the on-disk
-    sweep store files chaos entries by this key)."""
-    return stable_hash({
-        "schema": SCHEMA_VERSION,
-        "kind": "chaos",
-        "spec": {
-            "function": asdict(profile),
-            "approach": approach,
-            "config": asdict(config),
-            "fault_seed": fault_seed,
-            "n_requests": n_requests,
-            "interval": interval,
-            "warm_pool_ttl": warm_pool_ttl,
-            "request_deadline": request_deadline,
-            "device_kind": device_kind,
-            "costs": asdict(costs) if costs is not None else None,
-            "ram_bytes": ram_bytes,
-        },
-    })
-
-
-def _chaos_cell(args: tuple) -> ChaosResult:
-    """Worker entrypoint for the parallel chaos suite (one approach)."""
-    profile, approach, config, fault_seed, n_requests, interval, \
-        warm_pool_ttl, request_deadline, device_kind, costs, \
-        ram_bytes = args
-    return run_chaos_scenario(
-        profile, approach, config=config, fault_seed=fault_seed,
-        n_requests=n_requests, interval=interval,
-        warm_pool_ttl=warm_pool_ttl, request_deadline=request_deadline,
-        device_kind=device_kind, costs=costs, ram_bytes=ram_bytes)
-
-
-def _supervised_chaos_cell(payload) -> ChaosResult:
-    """Supervised worker entrypoint: ``(args, fault)`` pairs."""
-    from repro.faults.sweep import apply_worker_fault
-
-    args, fault = payload
-    apply_worker_fault(fault)
-    return _chaos_cell(args)
-
-
-def run_chaos_suite(profile: FunctionProfile, approaches: list[str],
-                    config: FaultConfig = DEFAULT_CHAOS,
-                    fault_seed: int = 0, n_requests: int = 8,
-                    interval: float = 0.25,
-                    warm_pool_ttl: float | None = None,
-                    request_deadline: float | None = None,
-                    device_kind: str = "ssd",
-                    costs: CostModel | None = None,
-                    jobs: int = 1, store=None,
-                    ram_bytes: int | None = None,
-                    timeout: float | None = None,
-                    max_retries: int = 2,
-                    keep_going: bool = False,
-                    injector=None,
-                    failures_out: list | None = None,
-                    telemetry=None) -> list[ChaosResult]:
-    """One chaos run per approach, supervised across worker processes.
-
-    Each cell is an independent pure function of its arguments (a fresh
-    kernel, its own seeded schedule), so any job count yields the exact
-    serial fingerprints.  With a ``store``
-    (:class:`~repro.harness.sweep.ResultStore`), each finished cell
-    persists under :func:`chaos_key` *as it completes* and warm reruns
-    replay from disk.  ``timeout``/``max_retries``/``keep_going`` and
-    ``injector`` have :func:`~repro.harness.sweep.supervised_map`
-    semantics; with ``keep_going`` permanently-failed cells are dropped
-    from the returned list and appended to ``failures_out``.
-    ``telemetry`` (a :class:`~repro.serve.hub.TelemetryHub`) receives
-    live suite progress — observation-only, fingerprints unchanged.
-    """
-    from repro.harness.sweep import SweepCell, supervised_map
-
-    keys = [chaos_key(profile, name, config, fault_seed, n_requests,
-                      interval, warm_pool_ttl, request_deadline,
-                      device_kind, costs, ram_bytes)
-            for name in approaches]
-    if store is not None and injector is not None:
-        store.fault_injector = injector
-    results: dict[int, ChaosResult] = {}
-    if store is not None:
-        for i, key in enumerate(keys):
-            payload = store.load(key, kind="chaos")
-            if payload is not None:
-                try:
-                    results[i] = ChaosResult.from_dict(payload)
-                except (KeyError, TypeError, ValueError):
-                    store.quarantine(key)
-    missing = [i for i in range(len(approaches)) if i not in results]
-    cells = [SweepCell(
-        index=i,
-        item=(profile, approaches[i], config, fault_seed, n_requests,
-              interval, warm_pool_ttl, request_deadline, device_kind,
-              costs, ram_bytes),
-        key=keys[i], label=f"chaos:{profile.name}/{approaches[i]}",
-        spec={"kind": "chaos", "function": profile.name,
-              "approach": approaches[i], "fault_seed": fault_seed})
-        for i in missing]
-
-    if telemetry is not None:
-        telemetry.update_sweep(
-            requested=len(approaches), unique=len(approaches),
-            executed=0, memory_hits=0,
-            disk_hits=len(approaches) - len(cells),
-            remaining=len(cells), done=False)
-        telemetry.flush(phase=f"chaos:{profile.name}")
-    executed = 0
-
-    def deliver(cell, result: ChaosResult) -> None:
-        nonlocal executed
-        results[cell.index] = result
-        if store is not None:
-            store.save(keys[cell.index], result.to_dict(), kind="chaos")
-        if telemetry is not None:
-            executed += 1
-            telemetry.update_sweep(executed=executed,
-                                   remaining=len(cells) - executed)
-
-    _, failures = supervised_map(
-        _supervised_chaos_cell, cells, jobs, timeout=timeout,
-        max_retries=max_retries, keep_going=keep_going,
-        injector=injector, deliver=deliver)
-    if failures_out is not None:
-        failures_out.extend(failures)
-    if telemetry is not None:
-        telemetry.update_sweep(quarantined=len(failures), done=True)
-        telemetry.flush(phase=f"chaos:{profile.name} done")
-    return [results[i] for i in range(len(approaches)) if i in results]
-
-
-def chaos_rows(results: list[ChaosResult]) -> list[list[str]]:
-    """Table rows (header first) summarizing chaos runs per approach."""
-    header = ["approach", "requests", "ok", "retried", "timeout", "failed",
-              "mean cold (ms)", "injected", "spikes", "cache retries",
-              "degradations"]
-    rows = [header]
-    for res in results:
-        report = res.report
-        cold = report.latencies(cold=True)
-        mean_cold = (sum(cold) / len(cold) * 1e3) if cold else 0.0
-        injected = (res.fault_stats["media_errors"]
-                    + res.fault_stats["persistent_errors"]
-                    + res.fault_stats["torn_pages"]
-                    + res.fault_stats["attach_failures"])
-        degradations = ", ".join(
-            f"{k}={v}" for k, v in sorted(res.approach_counters.items()))
-        rows.append([
-            res.approach,
-            str(len(report.results)),
-            str(report.completed),
-            str(report.request_retries),
-            str(report.timeouts),
-            str(report.failures),
-            f"{mean_cold:.1f}",
-            str(injected),
-            str(res.fault_stats["latency_spikes"]),
-            str(res.cache_io_retries),
-            degradations or "-",
-        ])
-    return rows
-
-
-def render_chaos(results: list[ChaosResult], title: str = "") -> str:
-    seeds = sorted({res.fault_seed for res in results})
+def render_chaos(cells: list[tuple[ScenarioSpec, ScenarioResult]],
+                 title: str = "") -> str:
+    """The per-approach degradation table for ``(spec, result)`` pairs
+    of chaos cells; every count comes from the result's metrics."""
+    seeds = sorted({spec.chaos.fault_seed for spec, _ in cells})
     title = title or (f"Chaos scenario (fault seed"
                       f"{'s' if len(seeds) > 1 else ''} "
                       f"{', '.join(map(str, seeds))})")
-    return render_table(chaos_rows(results), title=title)
+    rows = [["approach", "requests", "ok", "retried", "timeout", "failed",
+             "mean cold (ms)", "injected", "spikes", "cache retries",
+             "degradations"]]
+    for _, result in cells:
+        metrics = result.metrics
+
+        def count(name: str) -> int:
+            return int(metrics[name])
+
+        degradations = {name: int(value)
+                        for name, value in result.extra.items()
+                        if name in DEGRADATION_COUNTERS}
+        for label, name in RECLAIM_DEGRADATIONS:
+            if metrics.get(name):
+                degradations[label] = count(name)
+        injected = sum(count(f"fault_{kind}") for kind in (
+            "media_errors", "persistent_errors", "torn_pages",
+            "attach_failures"))
+        rows.append([
+            result.approach,
+            str(count("node_requests_total")),
+            str(count("node_requests_completed_total")),
+            str(count("node_request_retries_total")),
+            str(count("node_request_timeouts_total")),
+            str(count("node_request_failures_total")),
+            f"{result.extra['chaos_mean_cold_latency'] * 1e3:.1f}",
+            str(injected),
+            str(count("fault_latency_spikes")),
+            str(count("cache_io_retries_total")),
+            ", ".join(f"{k}={v}" for k, v in sorted(degradations.items()))
+            or "-",
+        ])
+    return render_table(rows, title=title)

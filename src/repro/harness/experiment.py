@@ -25,9 +25,14 @@ from repro.workloads.profile import FunctionProfile
 from repro.workloads.trace import generate_trace
 
 
-def make_kernel(device_kind: str = "ssd", ram_bytes: int = 256 * GIB,
+def make_kernel(device_kind: str = "ssd", ram_bytes: int | None = None,
                 costs: CostModel | None = None) -> Kernel:
-    """Fresh host with the requested storage device."""
+    """Fresh host with the requested storage device.
+
+    ``ram_bytes`` follows :attr:`ScenarioSpec.ram_bytes`: ``None`` keeps
+    the 256 GiB pool with the pressure plane off; an int sizes the frame
+    pool and enables watermarks + kswapd (a memory-pressure host).
+    """
     env = Environment()
     if device_kind == "ssd":
         device = SSDevice(env)
@@ -35,7 +40,12 @@ def make_kernel(device_kind: str = "ssd", ram_bytes: int = 256 * GIB,
         device = HDDevice(env)
     else:
         raise ValueError(f"unknown device kind {device_kind!r}")
-    return Kernel(env=env, device=device, ram_bytes=ram_bytes, costs=costs)
+    kernel = Kernel(env=env, device=device,
+                    ram_bytes=256 * GIB if ram_bytes is None else ram_bytes,
+                    costs=costs)
+    if ram_bytes is not None:
+        kernel.reclaim.enable_watermarks()
+    return kernel
 
 
 def run_scenario(spec: ScenarioSpec, *,
@@ -67,15 +77,19 @@ def run_scenario(spec: ScenarioSpec, *,
             f"run_scenario takes a ScenarioSpec (repro.harness.spec), "
             f"got {type(spec).__name__}; the legacy (profile, approach) "
             f"kwargs form was removed")
-    if spec.cluster is not None:
+    if spec.cluster is not None or spec.chaos is not None:
+        plane = "cluster" if spec.cluster is not None else "chaos"
         if kernel is not None:
-            raise TypeError("cluster scenarios build one kernel per "
-                            "node; the kernel argument is not usable")
+            raise TypeError(f"{plane} scenarios build their own hosts; "
+                            f"the kernel argument is not usable")
         if approach_factory is not None:
-            raise TypeError("cluster scenarios resolve approaches per "
-                            "node; approach_factory is not usable")
-        # Deferred import: the cluster runner composes the platform
-        # stack on top of this module's layer.
+            raise TypeError(f"{plane} scenarios resolve approaches by "
+                            f"name; approach_factory is not usable")
+        # Deferred imports: both runners compose the platform stack on
+        # top of this module's layer.
+        if spec.chaos is not None:
+            from repro.harness.chaos import run_chaos_scenario
+            return run_chaos_scenario(spec)
         from repro.cluster.runner import run_cluster_scenario
         return run_cluster_scenario(spec)
     return _run_scenario(spec.function,
@@ -103,13 +117,7 @@ def _run_scenario(profile: FunctionProfile,
     if isinstance(approach_factory, str):
         approach_factory = approach_registry()[approach_factory]
     if kernel is None:
-        kernel = make_kernel(device_kind, costs=costs,
-                             ram_bytes=(ram_bytes if ram_bytes is not None
-                                        else 256 * GIB))
-        if ram_bytes is not None:
-            # A sized pool is a memory-pressure scenario: watermarks on,
-            # kswapd running.  The default pool keeps seed semantics.
-            kernel.reclaim.enable_watermarks()
+        kernel = make_kernel(device_kind, ram_bytes, costs)
     if snapstore_spec is not None and kernel.snapstore is None:
         from repro.snapstore import install_snapstore
         install_snapstore(kernel, snapstore_spec)
@@ -227,14 +235,22 @@ def _collect_extras(approach: Approach, result: ScenarioResult) -> None:
     if map_loads:
         result.extra["map_load_seconds"] = (
             sum(map_loads.values()) / len(map_loads))
-    # Fault-plane degradation counters: surfaced only when something
-    # actually degraded, so fault-free runs keep their exact extras.
-    for attr in ("capture_attach_failures", "prefetch_fallbacks",
-                 "prefetch_aborts", "demand_retries",
-                 "demand_fetch_failures"):
-        value = getattr(approach, attr, 0)
-        if value:
-            result.extra[attr] = float(value)
+    result.extra.update(degradation_extras(approach))
+
+
+#: Fault-plane degradation counters an approach instance may expose.
+DEGRADATION_COUNTERS = ("capture_attach_failures", "prefetch_fallbacks",
+                        "prefetch_aborts", "demand_retries",
+                        "demand_fetch_failures")
+
+
+def degradation_extras(approach: Approach) -> dict[str, float]:
+    """The approach's nonzero degradation counters, as result extras:
+    surfaced only when something actually degraded, so fault-free runs
+    keep their exact extras."""
+    counters = {attr: getattr(approach, attr, 0)
+                for attr in DEGRADATION_COUNTERS}
+    return {attr: float(value) for attr, value in counters.items() if value}
 
 
 class ResultCache:

@@ -23,6 +23,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from repro.cluster.spec import ClusterSpec
+from repro.faults.schedule import ChaosSpec
 from repro.mm.costs import CostModel
 from repro.snapstore.spec import SnapStoreSpec
 from repro.workloads.profile import FunctionProfile, profile_by_name
@@ -36,6 +37,8 @@ from repro.workloads.profile import FunctionProfile, profile_by_name
 #: v4: traffic plane (ClusterSpec keep-alive policy fields and nested
 #: TrafficSpec workload).
 #: v5: snapstore plane (nested SnapStoreSpec field; snapshot tiering).
+#: The nested ChaosSpec field came later without a bump: it is emitted
+#: only when set, so every earlier spec keeps its hash.
 SCHEMA_VERSION = 5
 
 _DEVICE_KINDS = ("ssd", "hdd")
@@ -78,6 +81,13 @@ class ScenarioSpec:
     #: ``None`` keeps the flat-file baseline.  In cluster scenarios every
     #: node gets a local store sharing one remote tier.
     snapstore: SnapStoreSpec | None = None
+    #: Chaos cell (repro.faults.ChaosSpec): when set, the run serves a
+    #: fixed-interval request train on one node under a seeded fault
+    #: schedule instead of the concurrent cold-start measurement.  Only
+    #: the function, approach, input seed, device kind, costs and
+    #: ram_bytes apply; ``canonical()`` emits the field only when set,
+    #: so specs without it keep their hashes.
+    chaos: ChaosSpec | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.function, str):
@@ -124,6 +134,20 @@ class ScenarioSpec:
                 self.snapstore, SnapStoreSpec):
             raise TypeError(f"snapstore must be a SnapStoreSpec or None, "
                             f"got {type(self.snapstore).__name__}")
+        if self.chaos is not None:
+            if not isinstance(self.chaos, ChaosSpec):
+                raise TypeError(f"chaos must be a ChaosSpec or None, "
+                                f"got {type(self.chaos).__name__}")
+            unsupported = [name for name, is_set in (
+                ("cluster", self.cluster is not None),
+                ("snapstore", self.snapstore is not None),
+                ("evict_policy", self.evict_policy is not None),
+                ("vary_inputs", self.vary_inputs),
+                ("n_instances > 1", self.n_instances > 1)) if is_set]
+            if unsupported:
+                raise ValueError(f"chaos scenarios serve one request at a "
+                                 f"time on one node; unsupported: "
+                                 f"{', '.join(unsupported)}")
 
     # -- identity ------------------------------------------------------------
     @property
@@ -132,7 +156,7 @@ class ScenarioSpec:
 
     def canonical(self) -> dict:
         """JSON-serializable dict with every outcome-determining field."""
-        return {
+        data = {
             "function": asdict(self.function),
             "approach": self.approach,
             "n_instances": self.n_instances,
@@ -147,6 +171,9 @@ class ScenarioSpec:
             "snapstore": (self.snapstore.canonical()
                           if self.snapstore is not None else None),
         }
+        if self.chaos is not None:
+            data["chaos"] = self.chaos.canonical()
+        return data
 
     def stable_hash(self) -> str:
         """Content address: stable across processes and sessions."""
@@ -174,6 +201,8 @@ class ScenarioSpec:
                      if data.get("cluster") is not None else None),
             snapstore=(SnapStoreSpec.from_dict(data["snapstore"])
                        if data.get("snapstore") is not None else None),
+            chaos=(ChaosSpec.from_dict(data["chaos"])
+                   if data.get("chaos") is not None else None),
         )
 
     def __str__(self) -> str:  # pragma: no cover - display helper
@@ -191,6 +220,8 @@ class ScenarioSpec:
                           f"x{self.cluster.n_nodes}")
         if self.snapstore is not None:
             extras.append(f"snapstore={self.snapstore.placement}")
+        if self.chaos is not None:
+            extras.append(f"chaos-seed={self.chaos.fault_seed}")
         suffix = f" ({', '.join(extras)})" if extras else ""
         return (f"{self.function_name}/{self.approach} "
                 f"x{self.n_instances} [{self.device_kind}]{suffix}")

@@ -14,6 +14,7 @@ from repro.metrics.registry import (
     MetricsRegistry,
     escape_help,
     escape_label_value,
+    nearest_rank,
 )
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "ScenarioResult",
     "escape_help",
     "escape_label_value",
+    "nearest_rank",
     "summarize",
 ]
 

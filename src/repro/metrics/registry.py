@@ -25,6 +25,18 @@ from typing import Callable
 TEXT_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
+def nearest_rank(n: int, p: float) -> int:
+    """0-based index of the nearest-rank ``p``-th percentile among ``n``
+    sorted samples: the smallest value with at least ``p`` percent of
+    the sample at or below it (p=50 on 10 samples is index 4).
+
+    The rank ``ceil(n * p / 100)`` comes from floor division of
+    ``n * p``; the float product in ``ceil(p / 100 * n)`` can overshoot
+    an exact rank (p=7, n=100 would pick index 7).
+    """
+    return min(n, max(1, int(-(-n * p // 100)))) - 1
+
+
 def escape_help(text: str) -> str:
     """Escape a ``# HELP`` string per the text-exposition spec:
     backslash and newline (quotes are legal in HELP text)."""
@@ -185,11 +197,11 @@ class Histogram(Metric):
             raise MetricError(f"percentile {p} outside [0, 100]")
         if self._count == 0:
             return 0.0
-        rank = max(1, -(-self._count * p // 100))  # ceil, at least 1
+        index = nearest_rank(self._count, p)
         cumulative = 0
         for i, count in enumerate(self._counts):
             cumulative += count
-            if cumulative >= rank:
+            if cumulative > index:
                 bound = (self.bounds[i] if i < len(self.bounds)
                          else self._max)
                 return min(bound, self._max)

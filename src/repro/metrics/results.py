@@ -13,6 +13,7 @@ import json
 import statistics
 from dataclasses import asdict, dataclass, field, fields
 
+from repro.metrics.registry import nearest_rank
 from repro.units import GIB
 
 from repro.vmm.microvm import InvocationStats
@@ -75,8 +76,7 @@ class ScenarioResult:
         values = sorted(self.e2e_latencies)
         if not values:
             return 0.0
-        rank = max(1, int(-(-len(values) * p // 100)))  # ceil, at least 1
-        return values[min(len(values), rank) - 1]
+        return values[nearest_rank(len(values), p)]
 
     @property
     def p50_e2e(self) -> float:

@@ -18,13 +18,13 @@ cold start to the node instead of a request.
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.baselines.base import Approach, approach_registry
 from repro.cluster.keepalive import FixedTTLPolicy, KeepAlivePolicy
+from repro.metrics.registry import nearest_rank
 from repro.mm.kernel import Kernel
 from repro.platform.workload import Arrival, MemorySample
 from repro.units import USEC
@@ -79,9 +79,7 @@ class NodeReport:
         values = sorted(self.latencies(cold))
         if not values:
             raise ValueError("no matching requests")
-        index = min(len(values) - 1,
-                    max(0, math.ceil(p / 100 * len(values)) - 1))
-        return values[index]
+        return values[nearest_rank(len(values), p)]
 
     def mean_latency(self, cold: bool | None = None) -> float:
         return statistics.fmean(self.latencies(cold))

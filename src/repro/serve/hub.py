@@ -11,7 +11,7 @@ half-updated histogram or a torn topology list.
 
 Observation-only, same standard as the tracer: nothing in the simulation
 reads the hub, a run with no hub attached pays one ``is None`` check per
-event, and enabling it changes no figure output, chaos fingerprint, or
+event, and enabling it changes no figure output, chaos result, or
 store key (identity-tested).
 
 Two throttles bound the publish cost:

@@ -18,19 +18,17 @@ the same (profile, input_seed) and hence bit-identical traces.
 This module also owns the :class:`ArrivalProcess` family — *when*
 invocations happen, the temporal half of a trace-driven workload.  One
 thinning-based sampler (`Lewis & Shedler`) serves both the constant-rate
-process behind ``poisson_arrivals`` and the modulated (diurnal + burst)
-processes the traffic plane superposes, so there is exactly one tested
-generator code path.
+process behind ``poisson_arrivals`` and the traffic plane's diurnal +
+burst :class:`~repro.workloads.traffic.TrafficProcess`, so there is
+exactly one tested generator code path.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterator
-
 
 
 @dataclass(frozen=True)
@@ -214,50 +212,6 @@ def generate_trace(profile, input_seed: int = 0) -> list[TraceOp]:
 # stream the historic single-rate generator used, which keeps every
 # seeded arrival sequence byte-identical across the refactor.
 
-@dataclass(frozen=True)
-class Burst:
-    """A transient rate spike: the process rate is multiplied by
-    ``multiplier`` for ``duration`` seconds starting at ``start``.
-    Overlapping bursts stack multiplicatively."""
-
-    start: float
-    duration: float
-    multiplier: float
-
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"burst start must be >= 0, got {self.start}")
-        if self.duration <= 0:
-            raise ValueError(
-                f"burst duration must be positive, got {self.duration}")
-        if self.multiplier < 1.0:
-            raise ValueError(
-                f"burst multiplier must be >= 1, got {self.multiplier}")
-
-    def active(self, t: float) -> bool:
-        return self.start <= t < self.start + self.duration
-
-
-def peak_burst_multiplier(bursts: tuple[Burst, ...]) -> float:
-    """Largest stacked multiplier over any instant (overlaps multiply).
-
-    Swept over interval endpoints, so the thinning envelope is exact
-    even when seeded bursts happen to overlap.
-    """
-    if not bursts:
-        return 1.0
-    edges = sorted({b.start for b in bursts}
-                   | {b.start + b.duration for b in bursts})
-    peak = 1.0
-    for edge in edges:
-        stacked = 1.0
-        for b in bursts:
-            if b.active(edge):
-                stacked *= b.multiplier
-        peak = max(peak, stacked)
-    return peak
-
-
 class ArrivalProcess:
     """Base: an inhomogeneous Poisson process defined by ``rate(t)``.
 
@@ -310,42 +264,3 @@ class ConstantRate(ArrivalProcess):
     @property
     def peak_rate(self) -> float:
         return self._rate
-
-
-class ModulatedRate(ArrivalProcess):
-    """Sinusoidal diurnal cycle plus seeded bursts around a base rate.
-
-    ``rate(t) = base * (1 + amplitude * sin(2 pi (t / period + phase)))
-    * stacked burst multipliers`` — the production-traffic shape: a slow
-    day/night swing with sharp transient spikes on top.
-    """
-
-    def __init__(self, base_rate: float, *, diurnal_amplitude: float = 0.0,
-                 diurnal_period: float = 86_400.0, diurnal_phase: float = 0.0,
-                 bursts: tuple[Burst, ...] = ()):
-        if base_rate <= 0:
-            raise ValueError(f"base_rate must be positive, got {base_rate}")
-        if not 0.0 <= diurnal_amplitude < 1.0:
-            raise ValueError(f"diurnal_amplitude must be in [0, 1), "
-                             f"got {diurnal_amplitude}")
-        if diurnal_period <= 0:
-            raise ValueError("diurnal_period must be positive")
-        self.base_rate = base_rate
-        self.diurnal_amplitude = diurnal_amplitude
-        self.diurnal_period = diurnal_period
-        self.diurnal_phase = diurnal_phase
-        self.bursts = tuple(sorted(bursts, key=lambda b: b.start))
-        self._peak = (base_rate * (1.0 + diurnal_amplitude)
-                      * peak_burst_multiplier(self.bursts))
-
-    def rate(self, t: float) -> float:
-        r = self.base_rate * (1.0 + self.diurnal_amplitude * math.sin(
-            2.0 * math.pi * (t / self.diurnal_period + self.diurnal_phase)))
-        for b in self.bursts:
-            if b.active(t):
-                r *= b.multiplier
-        return r
-
-    @property
-    def peak_rate(self) -> float:
-        return self._peak

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.cluster.spec import ClusterSpec
-from repro.cluster.traffic import run_traffic, run_traffic_scenario
+from repro.cluster.traffic import (calibrate_service_times, run_traffic,
+                                   run_traffic_scenario)
 from repro.harness.experiment import ResultCache, run_scenario
 from repro.harness.spec import ScenarioSpec
 from repro.harness.sweep import ResultStore, SweepRunner
 from repro.metrics.results import ScenarioResult
+from repro.units import GIB, PAGE_SIZE
 from repro.workloads.profile import profile_by_name
 from repro.workloads.traffic import TrafficSpec
 
@@ -82,6 +84,32 @@ def test_scenario_result_extra_schema():
     # Flat floats only: the exact-JSON-round-trip store contract.
     clone = ScenarioResult.from_json(result.to_json())
     assert clone == result and clone.to_json() == result.to_json()
+
+
+@pytest.mark.parametrize("ram_bytes", [None, 1 << 30])
+def test_calibration_applies_ram_bytes_like_every_scenario(monkeypatch,
+                                                           ram_bytes):
+    """A sized pool turns the pressure plane on during calibration too,
+    the same rule page-level scenarios follow (make_kernel)."""
+    import repro.harness.experiment as experiment
+
+    kernels = []
+    real = experiment.make_kernel
+
+    def recording(*args, **kwargs):
+        kernels.append(real(*args, **kwargs))
+        return kernels[-1]
+
+    monkeypatch.setattr(experiment, "make_kernel", recording)
+    calibrate_service_times("snapbpf", ("json",), ram_bytes=ram_bytes)
+    assert len(kernels) == 1
+    (kernel,) = kernels
+    if ram_bytes is None:
+        assert kernel.reclaim.watermarks is None
+        assert kernel.frames.total_frames * PAGE_SIZE == 256 * GIB
+    else:
+        assert kernel.reclaim.watermarks is not None
+        assert kernel.frames.total_frames * PAGE_SIZE == ram_bytes
 
 
 def test_run_scenario_dispatches_traffic_specs():

@@ -6,10 +6,12 @@ import random
 
 import pytest
 
-from repro.faults import FaultConfig, FaultSchedule, MemFaultInjector
+from repro.faults import (DEFAULT_CHAOS, ChaosSpec, FaultConfig,
+                          FaultSchedule, MemFaultInjector)
 from repro.faults.schedule import FaultStats
-from repro.harness.chaos import DEFAULT_CHAOS, run_chaos_scenario
+from repro.harness.experiment import run_scenario
 from repro.harness.figures import pressure_ram_bytes
+from repro.harness.spec import ScenarioSpec
 from repro.mm.kernel import Kernel
 from repro.units import MIB, PAGE_SIZE
 
@@ -74,14 +76,15 @@ def test_config_validation_and_replace():
 
 def test_chaos_surfaces_reclaim_counters_deterministically(tiny_profile):
     config = dataclasses.replace(DEFAULT_CHAOS, reclaim_stall_rate=1.0)
-    ram = pressure_ram_bytes(tiny_profile, "snapbpf", 1, 0.0)
-    results = [run_chaos_scenario(tiny_profile, "snapbpf", config=config,
-                                  fault_seed=3, n_requests=4, ram_bytes=ram)
-               for _ in range(2)]
-    assert results[0].fingerprint() == results[1].fingerprint()
-    counters = results[0].approach_counters
-    assert counters.get("reclaim_evictions", 0) > 0
+    spec = ScenarioSpec(
+        tiny_profile, "snapbpf",
+        ram_bytes=pressure_ram_bytes(tiny_profile, "snapbpf", 1, 0.0),
+        chaos=ChaosSpec(config=config, fault_seed=3, n_requests=4))
+    results = [run_scenario(spec) for _ in range(2)]
+    assert results[0].to_json() == results[1].to_json()
+    metrics = results[0].metrics
+    assert metrics["reclaim_reclaimed_total"] > 0
     # The record phase runs clean (schedule installs after prepare), so
     # only the serving-phase wakeups stall — but at rate 1.0 all do.
-    wakeups = counters.get("reclaim_kswapd_wakeups", 0)
-    assert 0 < counters.get("reclaim_stalls", 0) <= wakeups
+    wakeups = metrics["reclaim_kswapd_wakeups_total"]
+    assert 0 < metrics["reclaim_stalls_total"] <= wakeups

@@ -2,7 +2,7 @@
 elasticity claim under a shrinking pool, and determinism across job
 counts and warm stores."""
 
-from repro.harness.chaos import run_chaos_scenario
+from repro.faults import ChaosSpec
 from repro.harness.experiment import ResultCache, make_kernel, run_scenario
 from repro.harness.figures import MEM_HEADROOMS, pressure_ram_bytes
 from repro.harness.spec import ScenarioSpec
@@ -23,11 +23,12 @@ def test_watermarks_on_unpressured_pool_are_identity(tiny_profile):
 
 
 def test_chaos_fingerprint_identical_with_watermarks(tiny_profile):
-    baseline = run_chaos_scenario(tiny_profile, "snapbpf", fault_seed=5,
-                                  n_requests=3)
-    with_plane = run_chaos_scenario(tiny_profile, "snapbpf", fault_seed=5,
-                                    n_requests=3, ram_bytes=256 * GIB)
-    assert with_plane.fingerprint() == baseline.fingerprint()
+    chaos = ChaosSpec(fault_seed=5, n_requests=3)
+    baseline = run_scenario(ScenarioSpec(tiny_profile, "snapbpf",
+                                         chaos=chaos))
+    with_plane = run_scenario(ScenarioSpec(tiny_profile, "snapbpf",
+                                           ram_bytes=256 * GIB, chaos=chaos))
+    assert with_plane.to_json() == baseline.to_json()
 
 
 def test_pressure_deflates_file_footprint_but_not_anon(tiny_profile):

@@ -50,7 +50,7 @@ def test_store_rejects_schema_and_kind_mismatch(tmp_path, spec):
     assert store.load_scenario(spec) is None, "old schema must be a miss"
 
     entry["schema"] = SCHEMA_VERSION
-    entry["kind"] = "chaos"
+    entry["kind"] = "sweep-failures"
     path.write_text(json.dumps(entry))
     assert store.load_scenario(spec) is None, "wrong kind must be a miss"
 

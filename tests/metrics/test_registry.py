@@ -13,6 +13,7 @@ from repro.metrics.registry import (
     MetricsRegistry,
     escape_help,
     escape_label_value,
+    nearest_rank,
 )
 
 
@@ -300,3 +301,25 @@ class TestScrapeVsMutationRace:
     def test_registry_histogram_shares_registry_lock(self):
         registry = MetricsRegistry()
         assert registry.histogram("h")._lock is registry.lock
+
+
+class TestNearestRank:
+    def test_agrees_with_float_rule_at_reported_percentiles(self):
+        """The float rule ``ceil(p / 100 * n)`` that node and cluster
+        reports used picks the same index at every percentile they
+        print, so replacing it moves no output."""
+        import math
+        for n in range(1, 20_001):
+            for p in (50, 95, 99):
+                old = min(n - 1, max(0, math.ceil(p / 100 * n) - 1))
+                assert nearest_rank(n, p) == old, (n, p)
+
+    def test_exact_where_the_float_rule_overshoots(self):
+        assert nearest_rank(1000, 99.9) == 998
+        assert nearest_rank(100, 7) == 6
+
+    def test_clamped_to_the_sample(self):
+        assert nearest_rank(10, 0) == 0
+        assert nearest_rank(10, 50) == 4
+        assert nearest_rank(10, 100) == 9
+        assert nearest_rank(1, 99) == 0

@@ -9,7 +9,7 @@ import json
 
 from repro.cluster import ClusterSpec
 from repro.cluster.runner import run_cluster
-from repro.harness.chaos import run_chaos_suite
+from repro.faults import ChaosSpec
 from repro.harness.experiment import ResultCache
 from repro.harness.spec import ScenarioSpec
 from repro.harness.sweep import SweepRunner
@@ -62,13 +62,14 @@ class TestIdentity:
         assert hub.state()["fleet"]["nodes"]  # topology was published
 
     def test_chaos_fingerprints_identical_with_and_without_hub(self):
-        profile = tiny_profile()
-        plain = run_chaos_suite(profile, ["reap", "snapbpf"])
+        specs = [ScenarioSpec(function=tiny_profile(), approach=approach,
+                              chaos=ChaosSpec())
+                 for approach in ("reap", "snapbpf")]
+        plain = SweepRunner(ResultCache()).run(specs)
         hub = TelemetryHub(wall_interval=0.0)
-        observed = run_chaos_suite(profile, ["reap", "snapbpf"],
-                                   telemetry=hub)
-        assert ([r.fingerprint() for r in plain]
-                == [r.fingerprint() for r in observed])
+        observed = SweepRunner(ResultCache(), telemetry=hub).run(specs)
+        assert ([result_bytes(plain[s]) for s in specs]
+                == [result_bytes(observed[s]) for s in specs])
         assert hub.state()["sweep"]["done"] is True
 
     def test_store_bytes_identical_with_and_without_hub(self, tmp_path):

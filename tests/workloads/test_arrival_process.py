@@ -1,18 +1,13 @@
-"""ArrivalProcess family: thinning sampler, modulation, RNG compat."""
+"""ArrivalProcess family: the shared thinning sampler, RNG compat."""
 
 import random
 
 import pytest
 
 from repro.platform.workload import poisson_arrivals
-from repro.workloads.trace import (
-    ArrivalProcess,
-    Burst,
-    ConstantRate,
-    ModulatedRate,
-    peak_burst_multiplier,
-)
+from repro.workloads.trace import ArrivalProcess, ConstantRate
 from repro.workloads.profile import profile_by_name
+from repro.workloads.traffic import TrafficProcess, TrafficSpec
 
 
 def times(process, seed=7, duration=30.0):
@@ -47,58 +42,63 @@ def test_sample_is_lazy_and_ascending():
     assert len(set(first)) == len(first)
 
 
+def modulated(**overrides) -> TrafficProcess:
+    """A traffic process with a diurnal swing and stacked bursts: the
+    modulated envelope the shared sampler thins."""
+    fields = dict(n_functions=40, n_tenants=2, total_rps=200.0,
+                  duration=16.0, diurnal_amplitude=0.4, diurnal_period=16.0,
+                  n_bursts=0, seed=4)
+    fields.update(overrides)
+    return TrafficProcess(TrafficSpec(**fields))
+
+
 def test_sample_is_deterministic():
-    assert times(ModulatedRate(5.0, diurnal_amplitude=0.5,
-                               diurnal_period=10.0)) == \
-        times(ModulatedRate(5.0, diurnal_amplitude=0.5,
-                            diurnal_period=10.0))
+    assert times(modulated(n_bursts=3)) == times(modulated(n_bursts=3))
 
 
 def test_diurnal_modulation_shifts_density():
     # Period 20 s: first half-cycle is above base rate, second below.
-    process = ModulatedRate(50.0, diurnal_amplitude=0.8,
-                            diurnal_period=20.0)
+    process = modulated(total_rps=50.0, diurnal_amplitude=0.8,
+                        diurnal_period=20.0, duration=20.0)
     pts = times(process, seed=5, duration=20.0)
     crest = sum(1 for t in pts if t < 10.0)
     trough = len(pts) - crest
     assert crest > trough * 1.5
 
 
-def test_burst_concentrates_arrivals():
-    process = ModulatedRate(
-        20.0, bursts=(Burst(start=5.0, duration=2.0, multiplier=8.0),))
-    pts = times(process, seed=9, duration=10.0)
-    in_burst = sum(1 for t in pts if 5.0 <= t < 7.0)
-    # 2 s of a 10 s window at 8x the rate holds most of the mass.
-    assert in_burst > len(pts) * 0.5
-    for t in pts:
-        assert 0.0 < t < 10.0
-
-
 def test_rate_never_exceeds_peak():
-    process = ModulatedRate(
-        10.0, diurnal_amplitude=0.6, diurnal_period=7.0,
-        bursts=(Burst(start=1.0, duration=3.0, multiplier=2.0),
-                Burst(start=2.0, duration=4.0, multiplier=3.0)))
+    # Many long bursts on two tenants: windows overlap, same-tenant
+    # overlaps stack, and the diurnal crest lands inside some of them.
+    process = modulated(total_rps=10.0, diurnal_amplitude=0.6,
+                        diurnal_period=7.0, duration=20.0, n_bursts=8,
+                        burst_multiplier=3.0, burst_duration=4.0)
+    starts = sorted(b.start for b in process.bursts)
+    assert any(later < earlier + 4.0
+               for earlier, later in zip(starts, starts[1:]))
     peak = process.peak_rate
     for i in range(2000):
         assert process.rate(i * 0.01) <= peak + 1e-9
 
 
 def test_overlapping_bursts_stack_multiplicatively():
-    bursts = (Burst(start=0.0, duration=4.0, multiplier=2.0),
-              Burst(start=2.0, duration=4.0, multiplier=3.0))
-    assert peak_burst_multiplier(bursts) == pytest.approx(6.0)
-    process = ModulatedRate(1.0, bursts=bursts)
-    assert process.rate(3.0) == pytest.approx(6.0)
-    assert process.rate(1.0) == pytest.approx(2.0)
-    assert process.rate(5.0) == pytest.approx(3.0)
+    # One tenant owns every function, so the burst factor is the
+    # product of the active multipliers.
+    process = modulated(n_tenants=1, diurnal_amplitude=0.0, duration=20.0,
+                        n_bursts=6, burst_multiplier=3.0,
+                        burst_duration=4.0)
+    stacked = 0
+    for i in range(2000):
+        t = i * 0.01
+        active = sum(1 for b in process.bursts if b.active(t))
+        stacked = max(stacked, active)
+        assert process.rate(t) == pytest.approx(200.0 * 3.0 ** active)
+    assert stacked >= 2
+    assert process.peak_rate >= 200.0 * 3.0 ** stacked * (1 - 1e-9)
 
 
 def test_thinned_density_tracks_expected_rate():
     # Integral of the rate over the horizon predicts the sample size.
-    process = ModulatedRate(200.0, diurnal_amplitude=0.4,
-                            diurnal_period=16.0)
+    process = modulated()
     pts = times(process, seed=1, duration=16.0)
     # One full period: the sinusoid integrates to zero, so the mean
     # count is base * duration.
@@ -108,14 +108,6 @@ def test_thinned_density_tracks_expected_rate():
 def test_validation():
     with pytest.raises(ValueError):
         ConstantRate(0.0)
-    with pytest.raises(ValueError):
-        ModulatedRate(1.0, diurnal_amplitude=1.0)
-    with pytest.raises(ValueError):
-        Burst(start=-1.0, duration=1.0, multiplier=2.0)
-    with pytest.raises(ValueError):
-        Burst(start=0.0, duration=0.0, multiplier=2.0)
-    with pytest.raises(ValueError):
-        Burst(start=0.0, duration=1.0, multiplier=0.5)
     with pytest.raises(ValueError):
         list(ConstantRate(1.0).sample(random.Random(0), 0.0))
     with pytest.raises(NotImplementedError):
