@@ -32,7 +32,9 @@ Eviction never takes mapped (``mapcount > 0``) or not-uptodate
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from repro.ebpf.interp import pack_u64
 from repro.metrics.registry import MetricsRegistry
@@ -153,6 +155,27 @@ class LruLists:
             self.active.pop(key, None)
 
 
+def _lap(inactive: OrderedDict, parked: list) -> Iterator[tuple[int, int]]:
+    """Yield the keys of ``inactive`` as it stands now, head first,
+    copying only the run of keys about to be visited.
+
+    Exact while the caller takes every yielded key off the head (rotate,
+    activate, evict) or parks it in place, appended to ``parked``, and
+    nothing else moves a page meanwhile (reclaim never recurses): the
+    unvisited keys then always start ``len(parked)`` past the head.
+    Chunks start at :data:`SWAP_CLUSTER_MAX` keys and double; the lap
+    ends after the list's starting length, so pages rotated or inserted
+    at the tail meanwhile are never revisited."""
+    remaining = len(inactive)
+    take = SWAP_CLUSTER_MAX
+    while remaining > 0:
+        n = min(take, remaining)
+        start = len(parked)
+        yield from list(islice(inactive, start, start + n))
+        remaining -= n
+        take *= 2
+
+
 class ReclaimStats:
     """Registry-backed ``reclaim_*`` counters (CacheStats-style facade)."""
 
@@ -270,6 +293,10 @@ class ReclaimController:
         #: CPU seconds accrued by scans/policy runs since last drained
         #: by kswapd (synchronous direct reclaim cannot sleep).
         self.pending_cost = 0.0
+        #: PF_MEMALLOC: set while a shrink pass runs, so an allocation
+        #: made from inside it (an eviction policy's kfunc filling the
+        #: cache) takes a free frame or fails, and never reclaims.
+        self._in_reclaim = False
         self._wake = None
         self._kswapd = None
         if HOOK_MM_EVICT not in getattr(kprobes, "_hooks", {}):
@@ -301,7 +328,10 @@ class ReclaimController:
         Below the min watermark (or on plain exhaustion with watermarks
         off) the allocating path does synchronous direct reclaim.  An
         :class:`OutOfMemory` from reclaim is fatal only if no frame is
-        actually available."""
+        actually available.  Reclaim never recurses: an allocation made
+        during a shrink pass returns from here at once."""
+        if self._in_reclaim:
+            return
         free = self.frames.free_frames
         wm = self.watermarks
         if wm is not None:
@@ -395,37 +425,43 @@ class ReclaimController:
         active list's cold end when it runs dry.  Returns frames freed."""
         if nr_to_reclaim <= 0:
             return 0
-        freed = self._scan_inactive(nr_to_reclaim, desperate)
-        if freed < nr_to_reclaim and self.lru.active:
-            limit = (len(self.lru.active) if desperate
-                     else max(SWAP_CLUSTER_MAX, 2 * (nr_to_reclaim - freed)))
-            self._refill_inactive(limit)
-            freed += self._scan_inactive(nr_to_reclaim - freed, desperate)
-        return freed
+        self._in_reclaim = True
+        try:
+            freed = self._scan_inactive(nr_to_reclaim, desperate)
+            if freed < nr_to_reclaim and self.lru.active:
+                limit = (len(self.lru.active) if desperate
+                         else max(SWAP_CLUSTER_MAX,
+                                  2 * (nr_to_reclaim - freed)))
+                self._refill_inactive(limit)
+                freed += self._scan_inactive(nr_to_reclaim - freed,
+                                             desperate)
+            return freed
+        finally:
+            self._in_reclaim = False
 
     def _refill_inactive(self, limit: int) -> None:
         """shrink_active_list: demote up to ``limit`` cold active pages."""
-        for key in list(self.lru.active)[:limit]:
+        for key in list(islice(self.lru.active, limit)):
             self.lru.demote(key)
             self.stats._demotions.inc()
 
     def _scan_inactive(self, nr_to_reclaim: int, desperate: bool) -> int:
-        """shrink_inactive_list over a snapshot of the current inactive
-        order; rotations within the pass are not revisited."""
+        """shrink_inactive_list: one lap over the inactive list as it
+        stood when the pass began, head first; rotations within the pass
+        are not revisited."""
         hook = self.kprobes.hook(HOOK_MM_EVICT)
         policy = bool(hook.programs) and not desperate
         batch_cap = max(nr_to_reclaim, SWAP_CLUSTER_MAX)
+        inactive = self.lru.inactive
         candidates: list[tuple[tuple, tuple[int, int], object]] = []
         freed = 0
-        for seq, key in enumerate(list(self.lru.inactive)):
+        for seq, key in enumerate(_lap(inactive, candidates)):
             if policy:
                 if len(candidates) >= batch_cap:
                     break
             elif freed >= nr_to_reclaim:
                 break
-            entry = self.lru.inactive.get(key)
-            if entry is None:
-                continue
+            entry = inactive[key]
             self.stats._scanned.inc()
             if entry.locked:
                 self.lru.rotate(key)

@@ -4,8 +4,9 @@ and the snapbpf_evict_hint kfunc pins pages."""
 
 import pytest
 
+from repro.core.kfuncs import SNAPBPF_PREFETCH, register_snapbpf_kfunc
 from repro.core.policies import attach_evict_policy, policy_names
-from repro.ebpf.asm import assemble, call, call_kfunc, exit_, load, movi
+from repro.ebpf.asm import alui, assemble, call, call_kfunc, exit_, load, movi
 from repro.ebpf.helpers import BPF_FUNC_CACHED_PAGES
 from repro.ebpf.interp import Interpreter, pack_u64
 from repro.ebpf.verifier import VerificationError
@@ -15,6 +16,7 @@ from repro.mm.reclaim import (
     HINT_KEEP,
     HOOK_MM_EVICT,
     SNAPBPF_EVICT_HINT,
+    VERDICT_DEFAULT,
     register_evict_hint,
 )
 from repro.sim import Environment
@@ -66,6 +68,40 @@ def test_desperate_pass_overrides_vetoes_instead_of_oom():
     kernel.page_cache.populate(file, 200, 1)  # must not raise
     kernel.env.run()
     assert kernel.reclaim.eviction_log == [(file.ino, 0)]
+
+
+def test_policy_that_fills_the_cache_never_reenters_reclaim():
+    """A policy calling an allocating kfunc runs inside reclaim.  Like
+    Linux's PF_MEMALLOC, its fills take a free frame or abort; they never
+    reclaim again (which recursed until RecursionError)."""
+    kernel = Kernel(env=Environment(), ram_bytes=16 * PAGE_SIZE)
+    register_snapbpf_kfunc(kernel)
+    file = kernel.filestore.create("f", 4 * MIB)
+    kernel.page_cache.populate(file, 0, 16)
+    kernel.env.run()
+    prefetch_ahead = assemble("evict_prefetch_ahead", [
+        load(R2, R1, 8),                     # r2 = page index
+        load(R1, R1, 0),                     # r1 = ino
+        alui("add", R2, 128),
+        movi(R3, 2),
+        call_kfunc(SNAPBPF_PREFETCH),        # fill [index+128, +2)
+        movi(R0, VERDICT_DEFAULT),
+        exit_(),
+    ])
+    kernel.kprobes.attach(HOOK_MM_EVICT, prefetch_ahead)
+
+    kernel.page_cache.populate(file, 100, 4)
+    kernel.env.run()
+
+    reclaim = kernel.reclaim
+    # Four direct reclaims over 16, 15, 14 and 13 unlocked pages; every
+    # fill found the pool full and aborted.
+    assert reclaim.stats.policy_runs == 58
+    assert kernel.page_cache.stats.ra_oom_aborts == 58
+    assert reclaim.eviction_log == [(file.ino, i) for i in range(4)]
+    assert reclaim.stats.reclaimed == kernel.page_cache.stats.evictions == 4
+    assert all(kernel.page_cache.resident(file.ino, i)
+               for i in range(100, 104))
 
 
 def test_unknown_policy_name_rejected():

@@ -15,6 +15,10 @@ One small cell per fault path:
 * faasnap: per-region working-set mappings;
 * snapbpf x2: capture hook, prefetch kfunc, shared page cache;
 * snapbpf x2 under pressure: watermarks on, kswapd and direct reclaim;
+* linux-ra x2 under pressure: the reclaim scan's LRU pass (rotations,
+  activations, refills from the active list);
+* linux-ra x2 under pressure, protect-head: the policy pass (eBPF
+  verdicts, vetoes, candidates parked until the sort);
 * linux-ra x2 remote: snapshot chunks staged from the remote tier.
 
 A pin changes only with a declared model change, which re-derives it
@@ -50,6 +54,13 @@ SPECS = {
     "snapbpf x2 pressure": ScenarioSpec(
         SMALL, "snapbpf", n_instances=2,
         ram_bytes=pressure_ram_bytes(SMALL, "snapbpf", 2, 0.25)),
+    "linux-ra x2 pressure": ScenarioSpec(
+        SMALL, "linux-ra", n_instances=2,
+        ram_bytes=pressure_ram_bytes(SMALL, "linux-ra", 2, 0.25)),
+    "linux-ra x2 pressure protect-head": ScenarioSpec(
+        SMALL, "linux-ra", n_instances=2,
+        ram_bytes=pressure_ram_bytes(SMALL, "linux-ra", 2, 0.25),
+        evict_policy="protect-head"),
     "linux-ra x2 remote": ScenarioSpec(
         SMALL, "linux-ra", n_instances=2,
         snapstore=SnapStoreSpec(placement="remote")),
@@ -79,6 +90,15 @@ PINS = {
     "snapbpf x2 pressure": (
         "d2583a7b550f7bc4a1128059ff4cce6475f2052eaa5a5868e1c701bb5f59db9a",
         35050),
+    # Scans 20075 pages: 1298 rotations, 4573 activations, 467 direct
+    # reclaims and 455 kswapd wakeups.
+    "linux-ra x2 pressure": (
+        "d744db02b81828544d3a49f5d87d5055c8f6150b066e6cb148b4c8d39939c0d3",
+        22376),
+    # 37038 policy runs, 6305 vetoes and 13205 rotations.
+    "linux-ra x2 pressure protect-head": (
+        "9954ba168345209952e4439287602472f548a40c580311f68a68b3794a56177b",
+        23163),
     "linux-ra x2 remote": (
         "2f5b76797d4c6184e9fbec4642110934be63d27524596459bc431aae6a56b3e3",
         21656),
