@@ -21,7 +21,14 @@ Semantics are identical to the interpreter by construction:
 * ``insn_count`` is accounted per basic block, so every terminating run
   reports exactly the interpreter's executed-instruction count (the
   quantity the kprobe path converts into simulated seconds — figure
-  outputs stay byte-identical).
+  outputs stay byte-identical);
+* the legal pointer cases are emitted inline: ``add``/``sub`` of a
+  scalar to a pointer (an immediate's offset folded at compile time),
+  the ``jeq``/``jne`` NULL check against 0 on a pointer, and the map
+  and buffer arguments of the map and ringbuf helpers.  Every type and
+  bounds check still runs per execution; the cases that fault fall
+  through to ``_alu_slow``, ``_jmp_slow`` and ``_Region.read_bytes``,
+  which raise the interpreter's messages.
 
 The one deliberate divergence: the instruction budget is enforced at
 basic-block granularity, so a run that *exhausts* the budget faults at
@@ -40,6 +47,8 @@ globals.
 """
 
 from __future__ import annotations
+
+from typing import NoReturn
 
 from repro.ebpf import helpers as H
 from repro.ebpf.asm import Program
@@ -106,36 +115,20 @@ def _budget_fault(budget: int, executed: int, pcs: tuple) -> None:
         f"instruction budget {budget} exhausted at pc {pcs[idx]}")
 
 
-def _alu_slow(op: str, dst: object, src: object) -> object:
-    """Non-scalar ALU cases: pointer arithmetic and type errors."""
+def _alu_slow(op: str, dst: object) -> NoReturn:
+    """The ALU faults: generated code handles scalars, and moves a
+    pointer by a scalar, inline; every other operand pair ends here."""
     if isinstance(dst, _Ptr):
-        if op == "add" and isinstance(src, int):
-            return dst.moved(_to_signed(src & U64_MASK))
-        if op == "sub" and isinstance(src, int):
-            return dst.moved(-_to_signed(src & U64_MASK))
         raise RuntimeFault(f"{op} on pointer")
     raise RuntimeFault(f"{op} with non-scalar operand")
 
 
-def _jmp_slow(op: str, dst: object, src: object) -> bool:
-    """Non-scalar jump cases: the pointer NULL check and type errors."""
+def _jmp_slow(dst: object) -> NoReturn:
+    """The jump faults: generated code handles scalars, and a pointer's
+    NULL check, inline; every other operand pair ends here."""
     if isinstance(dst, _Ptr):
-        if op in ("jeq", "jne") and isinstance(src, int) and src == 0:
-            return op == "jne"
         raise RuntimeFault("pointer comparison beyond NULL check")
     raise RuntimeFault("jump on non-scalar operands")
-
-
-def _map_arg(value: object):
-    if not isinstance(value, _Ptr) or value.bpf_map is None:
-        raise RuntimeFault("helper expected a map pointer")
-    return value.bpf_map
-
-
-def _buffer_arg(value: object, size: int) -> bytes:
-    if not isinstance(value, _Ptr) or value.region is None:
-        raise RuntimeFault("helper expected a buffer pointer")
-    return value.region.read_bytes(value.off, size)
 
 
 #: Globals every generated closure runs against (plus its per-program
@@ -151,8 +144,6 @@ _BASE_NAMESPACE = {
     "_budget_fault": _budget_fault,
     "_alu_slow": _alu_slow,
     "_jmp_slow": _jmp_slow,
-    "_map_arg": _map_arg,
-    "_buffer_arg": _buffer_arg,
     "_spec_for": H.spec_for,
 }
 
@@ -293,21 +284,34 @@ class _Codegen:
             self.emit(ind, "else:")
             self.emit(ind + 1, 'raise RuntimeFault("neg on pointer")')
             return
+        moves = op in ("add", "sub")   # legal on a pointer
         if insn.imm is not None:
             im = insn.imm & U64_MASK
             expr = self._alu_expr(op, d, str(im), imm=im)
             self.emit(ind, f"if isinstance({d}, int):")
             self.emit(ind + 1, f"{d} = {expr}")
+            if moves:
+                delta = _to_signed(im) if op == "add" else -_to_signed(im)
+                off = f"{d}.off {'-' if delta < 0 else '+'} {abs(delta)}"
+                self.emit(ind, f"elif isinstance({d}, _Ptr):")
+                self.emit(ind + 1, f"{d} = _Ptr({d}.region, {off}, "
+                                   f"{d}.bpf_map)")
             self.emit(ind, "else:")
-            self.emit(ind + 1, f'{d} = _alu_slow("{op}", {d}, {im})')
+            self.emit(ind + 1, f'_alu_slow("{op}", {d})')
         else:
             s = f"r{insn.src}"
             expr = self._alu_expr(op, d, "_s")
             self.emit(ind, f"_s = {s}")
             self.emit(ind, f"if isinstance({d}, int) and isinstance(_s, int):")
             self.emit(ind + 1, f"{d} = {expr}")
+            if moves:
+                sign = "+" if op == "add" else "-"
+                self.emit(ind, f"elif isinstance({d}, _Ptr) "
+                               "and isinstance(_s, int):")
+                self.emit(ind + 1, f"{d} = _Ptr({d}.region, {d}.off {sign} "
+                                   f"_sg(_s & {_MASK}), {d}.bpf_map)")
             self.emit(ind, "else:")
-            self.emit(ind + 1, f'{d} = _alu_slow("{op}", {d}, _s)')
+            self.emit(ind + 1, f'_alu_slow("{op}", {d})')
 
     @staticmethod
     def _alu_expr(op: str, d: str, s: str, imm: int | None = None) -> str:
@@ -366,7 +370,8 @@ class _Codegen:
                 expr = f"_sg({d}) {_SCMP[op]} {_to_signed(im)}"
             else:  # jset
                 expr = f"({d} & {im}) != 0"
-            slow = f'_t = _jmp_slow("{op}", {d}, {im})'
+            # The NULL check, if the immediate is 0.
+            null = "" if im else f"isinstance({d}, _Ptr)"
         else:
             self.emit(ind, f"_s = r{insn.src}")
             guard = f"isinstance({d}, int) and isinstance(_s, int)"
@@ -376,11 +381,17 @@ class _Codegen:
                 expr = f"_sg({d}) {_SCMP[op]} _sg(_s)"
             else:  # jset
                 expr = f"({d} & _s) != 0"
-            slow = f'_t = _jmp_slow("{op}", {d}, _s)'
+            null = (f"isinstance({d}, _Ptr) and isinstance(_s, int) "
+                    "and _s == 0")
         self.emit(ind, f"if {guard}:")
         self.emit(ind + 1, f"_t = {expr}")
+        if op in ("jeq", "jne") and null:
+            # A live pointer is never NULL (a missed lookup returns
+            # scalar 0), so the NULL check's outcome is a constant.
+            self.emit(ind, f"elif {null}:")
+            self.emit(ind + 1, f"_t = {op == 'jne'}")
         self.emit(ind, "else:")
-        self.emit(ind + 1, slow)
+        self.emit(ind + 1, f"_jmp_slow({d})")
         self.emit(ind, "if _t:")
         goto(insn.target, ind + 1)
 
@@ -428,11 +439,38 @@ class _Codegen:
         self.emit(ind + 1, 'raise RuntimeFault('
                            '"store base is not a dereferenceable pointer")')
 
+    def emit_map_arg(self, ind: int) -> None:
+        """``_a = `` the map R1 points to, or the helper's fault."""
+        self.emit(ind, "_a = r1")
+        self.emit(ind, "if isinstance(_a, _Ptr) and _a.bpf_map is not None:")
+        self.emit(ind + 1, "_a = _a.bpf_map")
+        self.emit(ind, "else:")
+        self.emit(ind + 1,
+                  'raise RuntimeFault("helper expected a map pointer")')
+
+    def emit_buffer_arg(self, ind: int, var: str, reg: int,
+                        size: str) -> None:
+        """``var = `` the ``size`` bytes at pointer ``r<reg>``, or the
+        helper's fault; an out-of-bounds window faults in
+        ``_Region.read_bytes``."""
+        self.emit(ind, f"_p = r{reg}")
+        self.emit(ind, "if isinstance(_p, _Ptr) and _p.region is not None:")
+        self.emit(ind + 1, "_o = _p.off")
+        self.emit(ind + 1, f"_n = {size}")
+        self.emit(ind + 1, "_m = _p.region.data")
+        self.emit(ind + 1, "if 0 <= _o and _o + _n <= len(_m):")
+        self.emit(ind + 2, f"{var} = bytes(_m[_o:_o + _n])")
+        self.emit(ind + 1, "else:")
+        self.emit(ind + 2, f"{var} = _p.region.read_bytes(_o, _n)")
+        self.emit(ind, "else:")
+        self.emit(ind + 1,
+                  'raise RuntimeFault("helper expected a buffer pointer")')
+
     def emit_call(self, insn: Call, ind: int) -> None:
         hid = insn.helper_id
         if hid == H.BPF_FUNC_MAP_LOOKUP_ELEM:
-            self.emit(ind, "_a = _map_arg(r1)")
-            self.emit(ind, "_key = _buffer_arg(r2, _a.key_size)")
+            self.emit_map_arg(ind)
+            self.emit_buffer_arg(ind, "_key", 2, "_a.key_size")
             self.emit(ind, "_v = _a.lookup(_key)")
             self.emit(ind, "if _v is None:")
             self.emit(ind + 1, "r0 = 0")
@@ -440,28 +478,28 @@ class _Codegen:
             self.emit(ind + 1,
                       'r0 = _Ptr(_Region(_v, True, "map:" + _a.name), 0)')
         elif hid == H.BPF_FUNC_MAP_UPDATE_ELEM:
-            self.emit(ind, "_a = _map_arg(r1)")
-            self.emit(ind, "_key = _buffer_arg(r2, _a.key_size)")
-            self.emit(ind, "_val = _buffer_arg(r3, _a.value_size)")
+            self.emit_map_arg(ind)
+            self.emit_buffer_arg(ind, "_key", 2, "_a.key_size")
+            self.emit_buffer_arg(ind, "_val", 3, "_a.value_size")
             self.emit(ind, "try:")
             self.emit(ind + 1, "_a.update(_key, _val)")
             self.emit(ind + 1, "r0 = 0")
             self.emit(ind, "except ValueError:")
             self.emit(ind + 1, f"r0 = {_MASK}")
         elif hid == H.BPF_FUNC_MAP_DELETE_ELEM:
-            self.emit(ind, "_a = _map_arg(r1)")
-            self.emit(ind, "_key = _buffer_arg(r2, _a.key_size)")
+            self.emit_map_arg(ind)
+            self.emit_buffer_arg(ind, "_key", 2, "_a.key_size")
             self.emit(ind, "try:")
             self.emit(ind + 1, "_a.delete(_key)")
             self.emit(ind + 1, "r0 = 0")
             self.emit(ind, "except ValueError:")
             self.emit(ind + 1, f"r0 = {_MASK}")
         elif hid == H.BPF_FUNC_RINGBUF_OUTPUT:
-            self.emit(ind, "_a = _map_arg(r1)")
+            self.emit_map_arg(ind)
             self.emit(ind, 'if _a.KIND != "ringbuf":')
             self.emit(ind + 1, 'raise RuntimeFault('
                                '"bpf_ringbuf_output on non-ringbuf map")')
-            self.emit(ind, "_val = _buffer_arg(r2, _a.value_size)")
+            self.emit_buffer_arg(ind, "_val", 2, "_a.value_size")
             self.emit(ind, f"r0 = _a.output(_val) & {_MASK}")
         elif hid == H.BPF_FUNC_KTIME_GET_NS:
             self.emit(ind, f"r0 = int(rt.time_ns()) & {_MASK}")

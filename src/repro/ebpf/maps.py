@@ -146,8 +146,7 @@ class ArrayMap(BpfMap):
         self._slots = [bytearray(value_size) for _ in range(max_entries)]
 
     def _index(self, key: bytes) -> int | None:
-        key = self._check_key(key)
-        index = struct.unpack("<I", key)[0]
+        index = int.from_bytes(self._check_key(key), "little")
         return index if index < self.max_entries else None
 
     def lookup(self, key: bytes) -> bytearray | None:

@@ -2,15 +2,16 @@
 
 A faithful power-of-two buddy system: free blocks are kept per order,
 allocation splits larger blocks, freeing coalesces with the buddy when
-both halves are free.  Initialized from the set of guest PFNs that were
-free at snapshot time — the same information Faast's pre-scan extracts
-from the snapshot's allocator metadata (which is why the snapshot
-metadata exposes it; see :mod:`repro.vmm.snapshot`).
+both halves are free.  Initialized from the spans of guest PFNs that
+were free at snapshot time — the same information Faast's pre-scan
+extracts from the snapshot's allocator metadata (which is why the
+snapshot metadata exposes it; see :mod:`repro.vmm.snapshot`).
 """
 
 from __future__ import annotations
 
 MAX_ORDER = 10  # 4 MiB blocks, like Linux
+_MAX_BLOCK = 1 << MAX_ORDER
 
 
 class GuestOOM(MemoryError):
@@ -18,43 +19,50 @@ class GuestOOM(MemoryError):
 
 
 class BuddyAllocator:
-    """Buddy system over an arbitrary initial set of free PFNs.
+    """Buddy system over free PFNs given as ``(start, length)`` spans.
 
-    Free blocks per order are kept in a membership set (for buddy
-    coalescing checks) plus a LIFO stack with lazy deletion (for O(1)
-    deterministic allocation even with many thousands of fragments).
+    Spans may come in any order and may touch, overlap or repeat; the
+    free pool is their union.  Free blocks per order are kept in a
+    membership set (for buddy coalescing checks) plus a LIFO stack with
+    lazy deletion (for O(1) deterministic allocation even with many
+    thousands of fragments).
     """
 
-    def __init__(self, free_pfns):
+    def __init__(self, free_spans):
         self._free_sets: list[set[int]] = [set() for _ in range(MAX_ORDER + 1)]
         self._free_stacks: list[list[int]] = [[] for _ in range(MAX_ORDER + 1)]
         self._free_count = 0
-        self._seed_from(sorted(set(free_pfns)))
+        self._seed(free_spans)
 
-    def _seed_from(self, pfns: list[int]) -> None:
-        """Greedily build maximal aligned blocks from a sorted PFN list."""
-        i = 0
-        n = len(pfns)
-        while i < n:
-            start = pfns[i]
-            # Longest contiguous run from i.
-            j = i
-            while j + 1 < n and pfns[j + 1] == pfns[j] + 1:
-                j += 1
-            run_len = j - i + 1
-            # Carve the run into maximal aligned power-of-two blocks.
-            pos = start
-            remaining = run_len
-            while remaining > 0:
-                order = MAX_ORDER
-                while order > 0 and ((pos & ((1 << order) - 1)) != 0
-                                     or (1 << order) > remaining):
-                    order -= 1
-                self._push(order, pos)
-                self._free_count += 1 << order
+    def _seed(self, free_spans) -> None:
+        """Greedily build maximal aligned blocks from the spans' union.
+
+        Touching or overlapping spans merge into maximal runs first: a
+        block may straddle two spans, so carving each span on its own
+        would give different blocks."""
+        runs: list[list[int]] = []   # [start, end) in ascending order
+        for start, length in sorted(free_spans):
+            if length <= 0:
+                continue
+            end = start + length
+            if runs and start <= runs[-1][1]:
+                if end > runs[-1][1]:
+                    runs[-1][1] = end
+            else:
+                runs.append([start, end])
+        sets, stacks = self._free_sets, self._free_stacks
+        for pos, end in runs:
+            self._free_count += end - pos
+            # Carve the run into maximal aligned power-of-two blocks:
+            # each block takes the largest order that is at most
+            # MAX_ORDER, fits in the rest of the run, and divides pos
+            # (pos & -pos is its lowest set bit; 0 is aligned to all).
+            while pos < end:
+                order = min(MAX_ORDER, (end - pos).bit_length() - 1,
+                            ((pos & -pos) or _MAX_BLOCK).bit_length() - 1)
+                sets[order].add(pos)
+                stacks[order].append(pos)
                 pos += 1 << order
-                remaining -= 1 << order
-            i = j + 1
 
     def _push(self, order: int, pfn: int) -> None:
         self._free_sets[order].add(pfn)

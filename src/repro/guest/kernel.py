@@ -47,12 +47,12 @@ class GuestAllocation:
 class GuestKernel:
     """Guest memory manager restored from a snapshot."""
 
-    def __init__(self, mem_pages: int, free_pfns,
+    def __init__(self, mem_pages: int, free_spans,
                  pv_marking: bool = False, zero_on_free: bool = False):
         self.mem_pages = mem_pages
         self.pv_marking = pv_marking
         self.zero_on_free = zero_on_free
-        self.buddy = BuddyAllocator(free_pfns)
+        self.buddy = BuddyAllocator(free_spans)
         self._live: dict[str, GuestAllocation] = {}
         self.pages_allocated = 0
         self.pages_freed = 0

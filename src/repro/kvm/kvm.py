@@ -115,21 +115,21 @@ class KVM:
             self.stats_forced_writes += 1
 
         cost += yield from space.handle_fault(vpn, effective_write)
-        pte = pt.get(vpn)
+        pte = pt.get(vpn)  # (frame, writable)
         if pte is None:
             # uffd race: handler resolved a different page / VM teardown.
             cost += yield from space.handle_fault(vpn, effective_write)
             pte = pt.get(vpn)
             if pte is None:
                 raise RuntimeError(f"host fault did not map vpn {vpn:#x}")
-        if is_write and not pte.writable:
+        if is_write and not pte[1]:
             cost += yield from space.handle_fault(vpn, True)
             pte = pt.get(vpn)
 
         # Patched KVM: opportunistically write-map read faults only when
         # the host page is already writable; stock KVM write-maps
         # whenever it (forcibly) write-faulted.
-        self.ept[gfn] = EPT_WRITABLE if pte.writable else EPT_READ_ONLY
+        self.ept[gfn] = EPT_WRITABLE if pte[1] else EPT_READ_ONLY
         return cost
 
     def _pv_fault(self, gfn: int) -> float:
@@ -139,17 +139,17 @@ class KVM:
         real = unmirror_gfn(gfn)
         vpn = self.host_vpn(real)
         cost = 0.0
-        pte = self.space.pte(vpn)
-        if pte is None or pte.frame.kind != "anon" or not pte.writable:
+        pte = self.space.pt.get(vpn)
+        if pte is None or pte[0].kind != "anon" or not pte[1]:
             # Replace whatever backs this guest page (possibly a shared
             # snapshot mapping) with fresh anonymous memory -- crucially
             # *without* any snapshot I/O.
             if pte is not None:
                 # Unmap the old backing first (install_anon asserts empty).
-                old = self.space.pt.pop(vpn)
-                old.frame.mapcount -= 1
-                if old.frame.kind == "anon" and old.frame.mapcount == 0:
-                    self.kernel.frames.free(old.frame)
+                old = self.space.pt.pop(vpn)[0]
+                old.mapcount -= 1
+                if old.kind == "anon" and old.mapcount == 0:
+                    self.kernel.frames.free(old)
             cost += self.space.install_anon(vpn, content=0, writable=True)
         # Map the anonymous page under both gPFNs (paper Fig. 2, step 6).
         self.ept[gfn] = EPT_WRITABLE

@@ -22,7 +22,7 @@ The pieces mirror the kernel subsystems the paper manipulates:
   the above to a block device and the eBPF runtime.
 """
 
-from repro.mm.address_space import VMA, AddressSpace, PTE
+from repro.mm.address_space import VMA, AddressSpace
 from repro.mm.costs import CostModel
 from repro.mm.frames import Frame, FrameAllocator, OutOfMemory
 from repro.mm.kernel import Kernel
@@ -47,7 +47,6 @@ __all__ = [
     "Kernel",
     "LruLists",
     "OutOfMemory",
-    "PTE",
     "PageCache",
     "ReadaheadState",
     "ReclaimController",

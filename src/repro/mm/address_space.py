@@ -20,6 +20,12 @@ The semantics that matter for the paper:
   forced-write-mapping bug of §4 destroys deduplication;
 * faults in uffd-registered VMAs always resolve to private anonymous
   frames installed by userspace.
+
+A page-table entry is a ``(frame, writable)`` pair.  Copy-on-write needs
+no flag of its own: only a private file mapping maps a page-cache (FILE)
+frame read-only, so a read-only FILE entry is exactly a CoW entry.  A
+shared file mapping maps its FILE frames writable, and every other
+mapping maps ANON frames.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import bisect
 import itertools
 from dataclasses import dataclass, field
 
-from repro.mm.frames import ANON, Frame
+from repro.mm.frames import ANON, FILE, Frame
 from repro.mm.readahead import ReadaheadState
 from repro.storage.device import PRIO_READAHEAD
 from repro.mm.userfaultfd import Uffd
@@ -38,17 +44,6 @@ from repro.units import DEFAULT_READAHEAD_PAGES
 
 class SegfaultError(RuntimeError):
     """Access outside any VMA."""
-
-
-@dataclass(slots=True)
-class PTE:
-    """One page-table entry."""
-
-    frame: Frame
-    writable: bool
-    #: True when this maps a page-cache frame of a private mapping, i.e.
-    #: a write must CoW.
-    cow: bool
 
 
 @dataclass(slots=True)
@@ -89,7 +84,8 @@ class AddressSpace:
     def __init__(self, kernel, owner: str | None = None):
         self.kernel = kernel
         self.owner = owner or f"proc{next(self._ids)}"
-        self.pt: dict[int, PTE] = {}
+        #: vpn -> (frame, writable); see the module docstring.
+        self.pt: dict[int, tuple[Frame, bool]] = {}
         self._vmas: list[VMA] = []       # sorted by start
         self._starts: list[int] = []
         #: The VMA of the last fault: guest memory is usually one VMA, so
@@ -148,8 +144,7 @@ class AddressSpace:
         """Process exit: drop all mappings, free private anonymous memory."""
         self.dead = True
         free = self.kernel.frames.free
-        for pte in self.pt.values():
-            frame = pte.frame
+        for frame, _writable in self.pt.values():
             frame.mapcount -= 1
             if frame.kind == ANON and frame.mapcount == 0:
                 free(frame)
@@ -170,18 +165,18 @@ class AddressSpace:
             return 0.0
         if vpn in self.pt:
             raise ValueError(f"{self.owner}: page {vpn:#x} already mapped")
-        frame = self.kernel.frames.alloc(ANON, content=content,
-                                         owner=self.owner)
+        frame = self.kernel.frames.alloc(ANON, content, self.owner)
         # _map() without its replace step: vpn was checked unmapped.
         frame.mapcount += 1
-        self.pt[vpn] = PTE(frame, writable, False)
+        self.pt[vpn] = (frame, writable)
         fill = (costs.zero_page if content == 0 else costs.memcpy_page)
         return fill + costs.pte_install
 
     def pte_present(self, vpn: int) -> bool:
         return vpn in self.pt
 
-    def pte(self, vpn: int) -> PTE | None:
+    def pte(self, vpn: int) -> tuple[Frame, bool] | None:
+        """The ``(frame, writable)`` entry mapping ``vpn``, if any."""
         return self.pt.get(vpn)
 
     # -- the fault paths -----------------------------------------------------------
@@ -192,11 +187,12 @@ class AddressSpace:
 
         pte = self.pt.get(vpn)
         if pte is not None:
-            if is_write and not pte.writable:
-                if pte.cow:
-                    cost += self._cow(vpn, pte)
+            frame, writable = pte
+            if is_write and not writable:
+                if frame.kind == FILE:  # read-only FILE: copy-on-write
+                    cost += self._cow(vpn, frame)
                 else:
-                    pte.writable = True
+                    self.pt[vpn] = (frame, True)
                     cost += costs.pte_install
             self.stats_minor_faults += 1
             return cost
@@ -228,12 +224,13 @@ class AddressSpace:
             self.stats_minor_faults += 1
         if is_write and vma.private:
             # Write to a private file mapping: CoW immediately at fault.
-            frame = self.kernel.frames.alloc(ANON, content=entry.frame.content,
-                                             owner=self.owner)
-            self._map(vpn, frame, writable=True, cow=False)
+            frame = self.kernel.frames.alloc(ANON, entry.frame.content,
+                                             self.owner)
+            self._map(vpn, frame, True)
             cost += costs.memcpy_page + costs.pte_install
         else:
-            self._map(vpn, entry.frame, writable=not vma.private, cow=vma.private)
+            # Read-only exactly when private: the CoW case.
+            self._map(vpn, entry.frame, not vma.private)
             cost += costs.pte_install
         return cost
 
@@ -279,23 +276,23 @@ class AddressSpace:
         return entry, cost, True
 
     # -- internals --------------------------------------------------------------------
-    def _map(self, vpn: int, frame: Frame, writable: bool, cow: bool) -> None:
+    def _map(self, vpn: int, frame: Frame, writable: bool) -> None:
         existing = self.pt.get(vpn)
         if existing is not None:
-            existing.frame.mapcount -= 1
-            if existing.frame.kind == ANON and existing.frame.mapcount == 0:
-                self.kernel.frames.free(existing.frame)
+            old = existing[0]
+            old.mapcount -= 1
+            if old.kind == ANON and old.mapcount == 0:
+                self.kernel.frames.free(old)
         frame.mapcount += 1
-        self.pt[vpn] = PTE(frame, writable, cow)
+        self.pt[vpn] = (frame, writable)
 
-    def _cow(self, vpn: int, pte: PTE) -> float:
+    def _cow(self, vpn: int, shared: Frame) -> float:
         """Copy-on-write: replace a shared file frame with a private copy."""
         costs = self.kernel.costs
-        frame = self.kernel.frames.alloc(ANON, content=pte.frame.content,
-                                         owner=self.owner)
-        pte.frame.mapcount -= 1
+        frame = self.kernel.frames.alloc(ANON, shared.content, self.owner)
+        shared.mapcount -= 1
         frame.mapcount += 1
-        self.pt[vpn] = PTE(frame, True, False)
+        self.pt[vpn] = (frame, True)
         self.stats_cow_faults += 1
         return costs.memcpy_page + costs.pte_install
 

@@ -28,14 +28,14 @@ class OutOfMemory(MemoryError):
 
 @dataclass(slots=True)
 class Frame:
-    """One physical 4 KiB frame."""
+    """One physical 4 KiB frame.
+
+    A FILE frame's page identity lives on the page cache's
+    ``CacheEntry``, not here."""
 
     pfn: int
     kind: str
     content: int = 0
-    #: Identity of the cached file page, for FILE frames.
-    ino: int | None = None
-    index: int | None = None
     #: Number of PTEs (host or nested) referencing this frame; ``FREED``
     #: once the allocator has taken it back.
     mapcount: int = 0
@@ -90,8 +90,8 @@ class FrameAllocator:
     def free_frames(self) -> int:
         return self.total_frames - self.in_use
 
-    def alloc(self, kind: str, content: int = 0, ino: int | None = None,
-              index: int | None = None, owner: str | None = None) -> Frame:
+    def alloc(self, kind: str, content: int = 0,
+              owner: str | None = None) -> Frame:
         if kind not in (ANON, FILE):
             raise ValueError(f"unknown frame kind {kind!r}")
         # The reclaim plane acts only with watermarks on, or on a full
@@ -105,8 +105,7 @@ class FrameAllocator:
         if in_use >= self.total_frames:
             raise OutOfMemory(
                 f"no free frames ({self.total_frames} total in use)")
-        frame = Frame(next(self._next_pfn), kind, content, ino, index, 0,
-                      owner)
+        frame = Frame(next(self._next_pfn), kind, content, 0, owner)
         if kind == ANON:
             self.counters.anon += 1
             if owner is not None:

@@ -198,7 +198,7 @@ class PageCache:
         # already tried and failed.  The presence bit is set only after
         # the allocation: eviction-policy programs running inside that
         # reclaim must not see the page counted yet.
-        frame = self.frames.alloc(FILE, ino=ino, index=index)
+        frame = self.frames.alloc(FILE)
         entry = CacheEntry(ino, index, frame, False, Event(self.env))
         self._entries[key] = entry
         self._present.add(ino, index)

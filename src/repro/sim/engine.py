@@ -92,7 +92,7 @@ class Event:
         # once per event.
         env = self.env
         env._seq = seq = env._seq + 1
-        heappush(env._heap, (env._now, priority, seq, self))
+        heappush(env._heap, (env.now, priority, seq, self))
         return self
 
     def fail(self, exc: BaseException, priority: int = NORMAL) -> "Event":
@@ -106,7 +106,7 @@ class Event:
         self._value = exc
         env = self.env
         env._seq = seq = env._seq + 1
-        heappush(env._heap, (env._now, priority, seq, self))
+        heappush(env._heap, (env.now, priority, seq, self))
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -132,7 +132,7 @@ class Timeout(Event):
         self._defused = False
         self.delay = delay
         env._seq = seq = env._seq + 1
-        heappush(env._heap, (env._now + delay, NORMAL, seq, self))
+        heappush(env._heap, (env.now + delay, NORMAL, seq, self))
 
 
 class Process(Event):
@@ -153,7 +153,7 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Event | None = None
-        self._started_at = env._now
+        self._started_at = env.now
         # Kick off at current time.
         init = Event(env)
         init.callbacks.append(self._resume)
@@ -230,7 +230,7 @@ class Process(Event):
         tracer = env.tracer
         if tracer is not None and tracer.enabled:
             tracer.complete(self.name, "process", self._started_at,
-                            end=env._now, track="process", ok=ok)
+                            end=env.now, track="process", ok=ok)
 
 
 class _Condition(Event):
@@ -290,7 +290,11 @@ class Environment:
     """Simulation environment: clock, event heap, process factory."""
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        #: Current simulated time (seconds by convention in repro).  A
+        #: plain attribute, read on every fault and every event; only
+        #: the engine writes it (here, in :meth:`step` and in
+        #: :meth:`run`'s final clamp).
+        self.now = float(initial_time)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Process | None = None
@@ -309,11 +313,6 @@ class Environment:
         #: (never consulted by the engine); the repo benchmark
         #: (perfbench/) divides it by wall time for its events/sec.
         self.events_processed = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time (seconds by convention in repro)."""
-        return self._now
 
     @property
     def active_process(self) -> Process | None:
@@ -344,7 +343,7 @@ class Environment:
         """Process the single next event."""
         if not self._heap:
             raise SimulationError("no scheduled events")
-        self._now, _prio, _seq, event = heappop(self._heap)
+        self.now, _prio, _seq, event = heappop(self._heap)
         self.events_processed += 1
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
@@ -354,7 +353,7 @@ class Environment:
             # error: errors should never pass silently.
             raise event._value
         if self.telemetry is not None:
-            self.telemetry.on_sim_event(self._now)
+            self.telemetry.on_sim_event(self.now)
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the heap drains, ``until`` time passes, or event fires."""
@@ -373,5 +372,5 @@ class Environment:
         while heap and heap[0][0] <= limit:
             step()
         if until is not None:
-            self._now = max(self._now, limit)
+            self.now = max(self.now, limit)
         return None

@@ -86,7 +86,7 @@ class Resource:
             req._triggered = True
             env = self.env
             env._seq = seq = env._seq + 1
-            heapq.heappush(env._heap, (env._now, URGENT, seq, req))
+            heapq.heappush(env._heap, (env.now, URGENT, seq, req))
         else:
             self._seq += 1
             heapq.heappush(self._heap, (priority, self._seq, req))

@@ -71,7 +71,7 @@ class MicroVM:
         self.space = kernel.spawn_space(owner=self.vm_id)
         self.guest = GuestKernel(
             mem_pages=snapshot.mem_pages,
-            free_pfns=snapshot.meta.iter_free_gfns(),
+            free_spans=snapshot.meta.free_spans,
             pv_marking=pv_marking,
             zero_on_free=snapshot.meta.guest_zeroed,
         )

@@ -47,7 +47,7 @@ def test_allocation_faults_served_as_zero_pages(tiny_profile):
     free_gfn = next(iter(approach.snapshot.meta.free_gfns))
     pte = vm.space.pte(vm.guest_vpn(free_gfn))
     if pte is not None:  # touched by an allocation
-        assert pte.frame.content == 0
+        assert pte[0].content == 0
 
 
 def test_still_no_dedup(tiny_profile):

@@ -85,7 +85,7 @@ def test_content_fidelity_end_to_end(tiny_profile):
     for gfn in ws[:64]:
         pte = vm.space.pte(vm.guest_vpn(gfn))
         assert pte is not None
-        assert pte.frame.content == approach.snapshot.file.content(gfn)
+        assert pte[0].content == approach.snapshot.file.content(gfn)
 
 
 def test_prefetcher_survives_oom_and_counts_abort(prepared, tiny_profile):

@@ -108,7 +108,7 @@ class TestInvocation:
         for gfn in working_set_pages(trace)[:64]:
             pte = vm.space.pte(vm.guest_vpn(gfn))
             assert pte is not None
-            assert pte.frame.content == snapshot.file.content(gfn)
+            assert pte[0].content == snapshot.file.content(gfn)
 
 
 

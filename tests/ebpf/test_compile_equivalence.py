@@ -12,10 +12,16 @@ sequence and compares everything observable.
 Two real programs (capture and prefetch-guard) ride along as
 deterministic cases covering the ring-buffer write path and the
 array-map state machine the random space reaches only occasionally.
+So do small programs for every case the compiled tier emits inline:
+pointer ``add``/``sub``, the NULL check on a lookup result, and the map
+and buffer arguments of the map and ringbuf helpers, including the
+faults each must raise with the interpreter's message.
 """
 
 import random
 import struct
+
+import pytest
 
 from repro.core.progs import (
     build_capture_program,
@@ -24,7 +30,26 @@ from repro.core.progs import (
     make_groups_map,
     make_state_map,
 )
-from repro.ebpf.asm import Program, assemble
+from repro.ebpf.asm import (
+    Label,
+    Program,
+    alu,
+    alui,
+    assemble,
+    call,
+    exit_,
+    jcond,
+    ldmap,
+    load,
+    mov,
+    movi,
+    storei,
+)
+from repro.ebpf.helpers import (
+    BPF_FUNC_MAP_LOOKUP_ELEM,
+    BPF_FUNC_MAP_UPDATE_ELEM,
+    BPF_FUNC_RINGBUF_OUTPUT,
+)
 from repro.ebpf.insn import (
     ALU_OPS,
     Alu,
@@ -36,6 +61,7 @@ from repro.ebpf.insn import (
     LoadMapFd,
     Store,
 )
+from repro.ebpf.insn import R0, R1, R2, R3, R10
 from repro.ebpf.interp import Interpreter, RuntimeFault, pack_u64
 from repro.ebpf.maps import ArrayMap, HashMap, RingBufMap
 from repro.ebpf.verifier import VerificationError, Verifier
@@ -193,3 +219,125 @@ def test_prefetch_program_equivalent_across_tiers():
         return outcomes, calls, _map_state(state)
 
     assert run_tier(True) == run_tier(False)
+
+
+# -- the inlined cases, one small program each ---------------------------------
+
+def _outcome(source, ctx=pack_u64(7, 9)):
+    """The one outcome both tiers agree on for ``source``."""
+    _assert_equivalent(source, [ctx])
+    outcomes, _states, _log = _run_tier(_build(source), [ctx],
+                                        use_compiled=True)
+    return outcomes[0]
+
+
+@pytest.mark.parametrize("move", [
+    [alui("add", R2, -8)],
+    [alui("sub", R2, 8)],
+    [alui("add", R2, -16), alui("add", R2, 8)],
+    [movi(R3, -8), alu("add", R2, R3)],
+    [movi(R3, 8), alu("sub", R2, R3)],
+])
+def test_stack_pointer_moves_equivalent(move):
+    source = [mov(R2, R10), *move,
+              storei(R2, 0, 0x1234), load(R0, R2, 0)]
+    assert _outcome(source) == ("ok", 0x1234, len(source) + 1)
+
+
+@pytest.mark.parametrize("move, message", [
+    ([alui("add", R2, 8)], "stack: read [520, 528) out of bounds"),
+    ([movi(R3, 600), alu("sub", R2, R3)],
+     "stack: read [-88, -80) out of bounds"),
+])
+def test_stack_pointer_moved_out_of_bounds_faults_alike(move, message):
+    source = [mov(R2, R10), *move, load(R0, R2, 0)]
+    assert _outcome(source) == ("fault", message)
+
+
+@pytest.mark.parametrize("source, message", [
+    ([mov(R2, R10), alu("add", R2, R10)], "add on pointer"),
+    ([mov(R2, R10), alu("sub", R2, R1)], "sub on pointer"),
+    ([movi(R2, 4), alu("add", R2, R10)], "add with non-scalar operand"),
+    ([mov(R2, R10), alui("mul", R2, 2)], "mul on pointer"),
+])
+def test_pointer_arithmetic_faults_alike(source, message):
+    assert _outcome(source) == ("fault", message)
+
+
+@pytest.mark.parametrize("map_name, key, hit", [
+    ("a", 0, True), ("a", 9, False), ("h", 0, False)])
+@pytest.mark.parametrize("op", ["jeq", "jne"])
+@pytest.mark.parametrize("zero", ["imm", "reg"])
+def test_null_check_on_lookup_result_equivalent(map_name, key, hit, op,
+                                                zero):
+    """``jeq``/``jne`` 0 on a lookup result: a hit is a pointer (never
+    NULL), a miss is scalar 0."""
+    check = ([jcond(op, R0, "taken", imm=0)] if zero == "imm"
+             else [movi(R3, 0), jcond(op, R0, "taken", src=R3)])
+    source = [storei(R10, -8, key), ldmap(R1, map_name),
+              mov(R2, R10), alui("add", R2, -8),
+              call(BPF_FUNC_MAP_LOOKUP_ELEM), *check,
+              movi(R0, 1), exit_(),
+              Label("taken"), movi(R0, 2)]
+    taken = hit if op == "jne" else not hit
+    assert _outcome(source) == ("ok", 2 if taken else 1, 7 + len(check))
+
+
+@pytest.mark.parametrize("source, message", [
+    ([mov(R2, R10), jcond("jeq", R2, "end", imm=1), Label("end")],
+     "pointer comparison beyond NULL check"),
+    ([mov(R2, R10), movi(R3, 1), jcond("jne", R2, "end", src=R3),
+      Label("end")], "pointer comparison beyond NULL check"),
+    ([mov(R2, R10), jcond("jgt", R2, "end", imm=0), Label("end")],
+     "pointer comparison beyond NULL check"),
+    ([movi(R2, 0), jcond("jeq", R2, "end", src=R10), Label("end")],
+     "jump on non-scalar operands"),
+])
+def test_pointer_comparisons_fault_alike(source, message):
+    assert _outcome(source) == ("fault", message)
+
+
+def _helper_call(helper_id, map_name, key_off, value_off=-16):
+    """``helper(map, r10 + key_off[, r10 + value_off])``."""
+    return [ldmap(R1, map_name),
+            mov(R2, R10), alui("add", R2, key_off),
+            mov(R3, R10), alui("add", R3, value_off),
+            call(helper_id), movi(R0, 0)]
+
+
+@pytest.mark.parametrize("source, message", [
+    # The array map's 4-byte key window runs off either end of the stack.
+    (_helper_call(BPF_FUNC_MAP_LOOKUP_ELEM, "a", -2),
+     "stack: read [510, 514) out of bounds"),
+    (_helper_call(BPF_FUNC_MAP_LOOKUP_ELEM, "a", -516),
+     "stack: read [-4, 0) out of bounds"),
+    (_helper_call(BPF_FUNC_MAP_UPDATE_ELEM, "h", -4),
+     "stack: read [508, 516) out of bounds"),
+    # Key in bounds, the 16-byte array value window off the end.
+    (_helper_call(BPF_FUNC_MAP_UPDATE_ELEM, "a", -4, value_off=-8),
+     "stack: read [504, 520) out of bounds"),
+    (_helper_call(BPF_FUNC_RINGBUF_OUTPUT, "rb", -4),
+     "stack: read [508, 516) out of bounds"),
+    ([movi(R1, 0), mov(R2, R10), call(BPF_FUNC_MAP_LOOKUP_ELEM)],
+     "helper expected a map pointer"),
+    ([ldmap(R1, "a"), movi(R2, 0), call(BPF_FUNC_MAP_LOOKUP_ELEM)],
+     "helper expected a buffer pointer"),
+    ([ldmap(R1, "rb"), movi(R2, 0), call(BPF_FUNC_RINGBUF_OUTPUT)],
+     "helper expected a buffer pointer"),
+])
+def test_helper_buffer_arguments_fault_alike(source, message):
+    assert _outcome(source) == ("fault", message)
+
+
+@pytest.mark.parametrize("helper_id, map_name", [
+    (BPF_FUNC_MAP_LOOKUP_ELEM, "a"),
+    (BPF_FUNC_MAP_UPDATE_ELEM, "a"),
+    (BPF_FUNC_MAP_UPDATE_ELEM, "h"),
+    (BPF_FUNC_RINGBUF_OUTPUT, "rb"),
+])
+def test_helper_buffer_arguments_in_bounds_equivalent(helper_id, map_name):
+    """The same calls with windows inside the stack; map states and
+    ring records are compared by ``_assert_equivalent``."""
+    source = [storei(R10, -16, 3), storei(R10, -8, 0x55),
+              *_helper_call(helper_id, map_name, -16, value_off=-16)]
+    assert _outcome(source) == ("ok", 0, len(source) + 1)

@@ -1,4 +1,6 @@
-"""Buddy allocator: correctness + coalescing invariants."""
+"""Buddy allocator: correctness + coalescing invariants.
+
+The allocator is seeded from ``(start, length)`` spans of free PFNs."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,24 +10,24 @@ from repro.guest.buddy import MAX_ORDER, BuddyAllocator, GuestOOM
 
 
 def test_seed_counts_pages():
-    buddy = BuddyAllocator(range(0, 1024))
+    buddy = BuddyAllocator([(0, 1024)])
     assert buddy.free_pages == 1024
 
 
 def test_seed_from_fragments():
-    buddy = BuddyAllocator(list(range(0, 8)) + list(range(100, 104)))
+    buddy = BuddyAllocator([(0, 8), (100, 4)])
     assert buddy.free_pages == 12
 
 
 def test_alloc_block_alignment():
-    buddy = BuddyAllocator(range(0, 1024))
+    buddy = BuddyAllocator([(0, 1024)])
     pfn = buddy.alloc_block(4)
     assert pfn % 16 == 0
     assert buddy.free_pages == 1024 - 16
 
 
 def test_alloc_pages_exact_count_unique():
-    buddy = BuddyAllocator(range(0, 1024))
+    buddy = BuddyAllocator([(0, 1024)])
     pfns = buddy.alloc_pages(100)
     assert len(pfns) == 100
     assert len(set(pfns)) == 100
@@ -33,14 +35,16 @@ def test_alloc_pages_exact_count_unique():
 
 
 def test_allocated_pages_come_from_pool():
-    pool = list(range(50, 100)) + list(range(200, 300))
-    buddy = BuddyAllocator(pool)
+    spans = [(50, 50), (200, 100)]
+    pool = [pfn for start, length in spans
+            for pfn in range(start, start + length)]
+    buddy = BuddyAllocator(spans)
     pfns = buddy.alloc_pages(120)
     assert set(pfns) <= set(pool)
 
 
 def test_oom():
-    buddy = BuddyAllocator(range(0, 16))
+    buddy = BuddyAllocator([(0, 16)])
     with pytest.raises(GuestOOM):
         buddy.alloc_pages(17)
     with pytest.raises(GuestOOM):
@@ -48,7 +52,7 @@ def test_oom():
 
 
 def test_free_and_realloc():
-    buddy = BuddyAllocator(range(0, 64))
+    buddy = BuddyAllocator([(0, 64)])
     pfns = buddy.alloc_pages(64)
     assert buddy.free_pages == 0
     buddy.free_pages_list(pfns)
@@ -57,7 +61,7 @@ def test_free_and_realloc():
 
 
 def test_coalescing_restores_large_blocks():
-    buddy = BuddyAllocator(range(0, 1 << MAX_ORDER))
+    buddy = BuddyAllocator([(0, 1 << MAX_ORDER)])
     pfns = buddy.alloc_pages(1 << MAX_ORDER)
     buddy.free_pages_list(pfns)
     # After freeing page-by-page, the full max-order block must coalesce.
@@ -65,14 +69,14 @@ def test_coalescing_restores_large_blocks():
 
 
 def test_misaligned_free_rejected():
-    buddy = BuddyAllocator(range(0, 64))
+    buddy = BuddyAllocator([(0, 64)])
     buddy.alloc_pages(64)
     with pytest.raises(ValueError):
         buddy.free_block(3, 2)
 
 
 def test_is_free():
-    buddy = BuddyAllocator(range(0, 64))
+    buddy = BuddyAllocator([(0, 64)])
     assert buddy.is_free(10)
     pfns = buddy.alloc_pages(64)
     assert not buddy.is_free(10)
@@ -80,7 +84,7 @@ def test_is_free():
 
 
 def test_invalid_inputs():
-    buddy = BuddyAllocator(range(0, 64))
+    buddy = BuddyAllocator([(0, 64)])
     with pytest.raises(ValueError):
         buddy.alloc_pages(0)
     with pytest.raises(ValueError):
@@ -88,8 +92,8 @@ def test_invalid_inputs():
 
 
 def test_deterministic_allocation_order():
-    a = BuddyAllocator(range(0, 512)).alloc_pages(100)
-    b = BuddyAllocator(range(0, 512)).alloc_pages(100)
+    a = BuddyAllocator([(0, 512)]).alloc_pages(100)
+    b = BuddyAllocator([(0, 512)]).alloc_pages(100)
     assert a == b
 
 
@@ -106,7 +110,7 @@ def test_alloc_free_conservation(spans, requests):
     pool = set()
     for start, length in spans:
         pool.update(range(start, start + length))
-    buddy = BuddyAllocator(pool)
+    buddy = BuddyAllocator(spans)
     total = buddy.free_pages
     assert total == len(pool)
 
@@ -132,7 +136,7 @@ def test_alloc_free_conservation(spans, requests):
 @settings(max_examples=30, deadline=None)
 @given(seed_pages=st.integers(32, 512))
 def test_full_drain_refill_cycle(seed_pages):
-    buddy = BuddyAllocator(range(0, seed_pages))
+    buddy = BuddyAllocator([(0, seed_pages)])
     pfns = buddy.alloc_pages(seed_pages)
     assert sorted(pfns) == list(range(seed_pages))
     buddy.free_pages_list(pfns)

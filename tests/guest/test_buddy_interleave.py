@@ -20,7 +20,7 @@ from repro.guest.kernel import GuestKernel, unmirror_gfn
     ),
     min_size=1, max_size=30))
 def test_interleaved_alloc_free(steps):
-    guest = GuestKernel(mem_pages=4096, free_pfns=range(1024, 3072),
+    guest = GuestKernel(mem_pages=4096, free_spans=[(1024, 2048)],
                         pv_marking=True)
     live: dict[str, set[int]] = {}
     counter = 0
@@ -53,11 +53,10 @@ def test_interleaved_alloc_free(steps):
 def test_fragmented_pool_exact_capacity(sizes):
     """Scattered 8-page fragments: capacity is exactly the seeded count
     regardless of request decomposition."""
-    fragments = [p for base in range(0, 4096, 64)
-                 for p in range(base, base + 8)]
+    fragments = [(base, 8) for base in range(0, 4096, 64)]
     buddy = BuddyAllocator(fragments)
     total = buddy.free_pages
-    assert total == len(fragments)
+    assert total == sum(length for _start, length in fragments)
     got = 0
     for size in sizes:
         if size > buddy.free_pages:

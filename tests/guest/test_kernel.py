@@ -12,7 +12,7 @@ from repro.guest.kernel import (
 
 
 def make_guest(pv=False):
-    return GuestKernel(mem_pages=1024, free_pfns=range(512, 1024),
+    return GuestKernel(mem_pages=1024, free_spans=[(512, 512)],
                        pv_marking=pv)
 
 

@@ -21,8 +21,8 @@ def test_racing_faulters_wait_on_one_io(kernel):
         kernel.env.process(space.handle_fault(1000, False))
     kernel.env.run()
     assert kernel.device.stats.requests == 1
-    frame = spaces[0].pte(1000).frame
-    assert all(space.pte(1000).frame is frame for space in spaces)
+    frame = spaces[0].pte(1000)[0]
+    assert all(space.pte(1000)[0] is frame for space in spaces)
     assert frame.mapcount == 8
 
 

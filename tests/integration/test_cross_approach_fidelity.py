@@ -43,7 +43,7 @@ def test_guest_sees_snapshot_contents(approach_name, tiny_profile):
     for gfn in working_set_pages(trace):
         pte = vm.space.pte(vm.guest_vpn(gfn))
         assert pte is not None, f"{approach_name}: WS page {gfn} unmapped"
-        if pte.frame.content != snapshot_file.content(gfn):
+        if pte[0].content != snapshot_file.content(gfn):
             mismatches.append(gfn)
     assert not mismatches, (
         f"{approach_name}: wrong contents at {mismatches[:5]}")

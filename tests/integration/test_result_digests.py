@@ -23,6 +23,11 @@ One small cell per fault path:
 
 A pin changes only with a declared model change, which re-derives it
 from ``run_scenario`` output.
+
+The digest is taken before the measured sandboxes are torn down, so
+each cell also checks frame accounting after teardown: no anonymous
+frame survives, every file frame in use is a cached page, and no cached
+frame is still mapped.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import hashlib
 import pytest
 
 from repro import ScenarioSpec, run_scenario
+from repro.harness.experiment import make_kernel
 from repro.harness.figures import pressure_ram_bytes
 from repro.sim import Environment
 from repro.snapstore.spec import SnapStoreSpec
@@ -121,8 +127,15 @@ def environments(monkeypatch):
 
 @pytest.mark.parametrize("label", list(SPECS))
 def test_result_digest(label, environments):
-    result = run_scenario(SPECS[label])
+    spec = SPECS[label]
+    kernel = make_kernel(spec.device_kind, spec.ram_bytes, spec.costs)
+    result = run_scenario(spec, kernel=kernel)
     digest = hashlib.sha256(result.to_json().encode()).hexdigest()
     events = sum(env.events_processed for env in environments)
     assert (digest, events) == PINS[label]
 
+    frames, cache = kernel.frames, kernel.page_cache
+    assert frames.counters.anon == 0
+    assert frames.counters.file == frames.in_use == cache.cached_pages()
+    assert all(entry.frame.mapcount == 0
+               for entry in cache._entries.values())

@@ -40,16 +40,16 @@ class TestEpt:
         access(kernel, kvm, 10)
         assert not kvm.ept[10].writable
         # The backing host page is the shared cache frame.
-        assert kvm.space.pte(kvm.host_vpn(10)).frame.kind == "file"
+        assert kvm.space.pte(kvm.host_vpn(10))[0].kind == "file"
 
     def test_write_after_read_upgrades_via_cow(self, kernel, file):
         kvm = make_kvm(kernel, file)
         access(kernel, kvm, 10)
         access(kernel, kvm, 10, write=True)
         assert kvm.ept[10].writable
-        pte = kvm.space.pte(kvm.host_vpn(10))
-        assert pte.frame.kind == "anon"
-        assert pte.frame.content == file.content(10)
+        frame, _writable = kvm.space.pte(kvm.host_vpn(10))
+        assert frame.kind == "anon"
+        assert frame.content == file.content(10)
 
     def test_gfn_out_of_range(self, kernel, file):
         kvm = make_kvm(kernel, file)
@@ -62,8 +62,8 @@ class TestCowBug:
         kvm = make_kvm(kernel, file, patched=False, force=100)
         access(kernel, kvm, 10)  # read fault, forcibly write-mapped
         assert kvm.stats_forced_writes == 1
-        pte = kvm.space.pte(kvm.host_vpn(10))
-        assert pte.frame.kind == "anon"  # CoW'd: dedup destroyed
+        frame, _writable = kvm.space.pte(kvm.host_vpn(10))
+        assert frame.kind == "anon"  # CoW'd: dedup destroyed
 
     def test_patched_never_forces(self, kernel, file):
         kvm = make_kvm(kernel, file, patched=True, force=100)
@@ -95,8 +95,8 @@ class TestPvFault:
         gfn = mirror_gfn(100)
         access(kernel, kvm, gfn, write=True)
         assert kvm.stats_pv_faults == 1
-        pte = kvm.space.pte(kvm.host_vpn(100))
-        assert pte.frame.kind == "anon" and pte.frame.content == 0
+        frame, _writable = kvm.space.pte(kvm.host_vpn(100))
+        assert frame.kind == "anon" and frame.content == 0
         # No snapshot I/O happened.
         assert kernel.device.stats.requests == 0
 
@@ -113,9 +113,9 @@ class TestPvFault:
     def test_pv_replaces_snapshot_backing(self, kernel, file):
         kvm = make_kvm(kernel, file, pv=True)
         access(kernel, kvm, 100)  # fetch from snapshot first
-        assert kvm.space.pte(kvm.host_vpn(100)).frame.kind == "file"
+        assert kvm.space.pte(kvm.host_vpn(100))[0].kind == "file"
         access(kernel, kvm, mirror_gfn(100), write=True)
-        assert kvm.space.pte(kvm.host_vpn(100)).frame.kind == "anon"
+        assert kvm.space.pte(kvm.host_vpn(100))[0].kind == "anon"
 
     def test_mirrored_without_pv_support_rejected(self, kernel, file):
         kvm = make_kvm(kernel, file, pv=False)

@@ -11,7 +11,7 @@ def test_alloc_kinds_counted_separately():
     frames = FrameAllocator(100)
     frames.alloc(ANON, owner="vm0")
     frames.alloc(ANON, owner="vm0")
-    frames.alloc(FILE, ino=1, index=0)
+    frames.alloc(FILE)
     assert frames.counters.anon == 2
     assert frames.counters.file == 1
     assert frames.in_use == 3
@@ -52,7 +52,7 @@ def test_oom():
 
 def test_free_mapped_frame_rejected():
     frames = FrameAllocator(10)
-    frame = frames.alloc(FILE, ino=1, index=0)
+    frame = frames.alloc(FILE)
     frame.mapcount = 1
     with pytest.raises(ValueError):
         frames.free(frame)
@@ -87,7 +87,7 @@ def test_double_free_rejected_while_other_frames_live():
     frames = FrameAllocator(10)
     frame = frames.alloc(ANON, owner="vm0")
     frames.alloc(ANON, owner="vm0")
-    frames.alloc(FILE, ino=1, index=0)
+    frames.alloc(FILE)
     frames.free(frame)
     before = (frames.usage(), frames.in_use, frames.owner_frames("vm0"))
     with pytest.raises(ValueError, match="double free"):
@@ -98,11 +98,10 @@ def test_double_free_rejected_while_other_frames_live():
 
 def test_in_use_and_peak_after_mixed_alloc_free():
     frames = FrameAllocator(100)
-    held = [frames.alloc(ANON if i % 3 else FILE, ino=1, index=i)
-            for i in range(12)]
+    held = [frames.alloc(ANON if i % 3 else FILE) for i in range(12)]
     for frame in held[::2]:
         frames.free(frame)
-    held += [frames.alloc(FILE, ino=2, index=i) for i in range(3)]
+    held += [frames.alloc(FILE) for _ in range(3)]
     assert frames.in_use == frames.usage().total == 9
     assert frames.free_frames == 91
     assert frames.peak_frames == 12
