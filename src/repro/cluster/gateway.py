@@ -63,6 +63,8 @@ class ClusterNode:
 
     def __init__(self, node_id: int, node: FaaSNode, state: str = UP):
         self.node_id = node_id
+        #: Set once: ``node_id`` never changes.
+        self.name = f"node{node_id}"
         self.node = node
         self.state = state
         self.inflight = 0
@@ -72,10 +74,6 @@ class ClusterNode:
         #: In-flight handle() processes, insertion-ordered, so a crash
         #: interrupts them in a reproducible order.
         self.procs: list = []
-
-    @property
-    def name(self) -> str:
-        return f"node{self.node_id}"
 
     @property
     def routable(self) -> bool:
@@ -106,6 +104,9 @@ class Gateway:
         self.tracer = tracer
         self.nodes: dict[int, ClusterNode] = {}
         self._next_id = 0
+        #: The routable nodes in id order, rebuilt on every membership
+        #: or state change (see routable_nodes()).
+        self._routable: tuple[ClusterNode, ...] = ()
         #: (time, routable node count) after every membership/state change.
         self.node_timeline: list[tuple[float, float]] = []
         self.peak_nodes = 0
@@ -149,8 +150,11 @@ class Gateway:
         self._record_membership()
         return cnode
 
-    def routable_nodes(self) -> list[ClusterNode]:
-        return [n for n in self.nodes.values() if n.routable]
+    def routable_nodes(self) -> tuple[ClusterNode, ...]:
+        """The routable nodes in id order.  A new tuple replaces the old
+        one on every membership or state change and none is ever
+        mutated, so a caller may keep iterating one it was handed."""
+        return self._routable
 
     def live_nodes(self) -> list[ClusterNode]:
         return [n for n in self.nodes.values() if n.live]
@@ -160,7 +164,8 @@ class Gateway:
         self._record_membership()
 
     def _record_membership(self) -> None:
-        count = len(self.routable_nodes())
+        self._routable = tuple(n for n in self.nodes.values() if n.routable)
+        count = len(self._routable)
         self.node_timeline.append((self.env.now, float(count)))
         self._nodes_gauge.set(count)
         self.peak_nodes = max(self.peak_nodes, count)
@@ -203,7 +208,7 @@ class Gateway:
     # -- request path -------------------------------------------------------
     def route(self, function: str) -> ClusterNode:
         """One routing decision over the currently routable nodes."""
-        nodes = self.routable_nodes()
+        nodes = self._routable
         if not nodes:
             raise RoutingError("no routable nodes")
         chosen = self.policy.choose(function, nodes)

@@ -102,8 +102,13 @@ class SnapshotLocalityRouting(RoutingPolicy):
         self.overflow_inflight = overflow_inflight
         self.overflow_routes = 0
         self._members: tuple[int, ...] = ()
+        #: The node tuple the ring was last checked against: the gateway
+        #: hands out the same tuple until its membership changes.
+        self._nodes: tuple | None = None
         self._ring: list[tuple[int, int]] = []
         self._by_id: dict[int, object] = {}
+        #: function -> its ring search key; ``_point`` is pure.
+        self._keys: dict[str, tuple[int, float]] = {}
 
     def _rebuild(self, nodes: list) -> None:
         self._members = tuple(n.node_id for n in nodes)
@@ -115,10 +120,16 @@ class SnapshotLocalityRouting(RoutingPolicy):
 
     def home(self, function: str, nodes: list):
         """The ring-preferred node for ``function`` (no overflow)."""
-        if tuple(n.node_id for n in nodes) != self._members:
-            self._rebuild(nodes)
-        index = bisect.bisect_right(self._ring, (_point(f"fn:{function}"),
-                                                 float("inf")))
+        if nodes is not self._nodes:
+            if tuple(n.node_id for n in nodes) != self._members:
+                self._rebuild(nodes)
+            # Only a tuple is known not to change under the same object.
+            self._nodes = nodes if type(nodes) is tuple else None
+        key = self._keys.get(function)
+        if key is None:
+            key = self._keys[function] = (_point(f"fn:{function}"),
+                                          float("inf"))
+        index = bisect.bisect_right(self._ring, key)
         if index == len(self._ring):
             index = 0
         return self._by_id[self._ring[index][1]]

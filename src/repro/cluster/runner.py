@@ -191,7 +191,8 @@ def run_cluster(spec, fault_config=None, fault_seed: int = 0,
                          "repro.cluster.traffic.run_traffic")
 
     env = Environment()
-    tracer = tracer or Tracer()
+    if tracer is None:  # not ``or``: a Tracer with no spans is falsy
+        tracer = Tracer()
     registry = MetricsRegistry()
     profiles = cluster_profiles(spec.function, cspec.n_functions)
     policy = make_routing_policy(

@@ -327,7 +327,8 @@ def run_traffic(spec, tracer: Tracer | None = None,
     tenants = {fn.name: fn.tenant for fn in traffic.functions}
 
     env = Environment()
-    tracer = tracer or Tracer()
+    if tracer is None:  # not ``or``: a Tracer with no spans is falsy
+        tracer = Tracer()
     registry = MetricsRegistry()
     policy = make_routing_policy(
         cspec.policy, seed=spec.input_seed,

@@ -41,7 +41,8 @@ class Kernel:
         #: Trace plane: one tracer per machine, shared by every subsystem
         #: through the duck-typed ``env.tracer`` / ``interpreter.tracer``
         #: hooks.  Disabled until ``kernel.tracer.enable()``.
-        self.tracer = tracer or Tracer()
+        # ``is None``, not ``or``: a Tracer with no spans yet is falsy.
+        self.tracer = tracer if tracer is not None else Tracer()
         self.env.tracer = self.tracer
         self.costs = costs or CostModel()
         self.device = device or SSDevice(self.env)

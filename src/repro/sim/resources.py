@@ -84,9 +84,7 @@ class Resource:
             # succeed(priority=URGENT), inlined: a free slot is the
             # common case on the block-request path.
             req._triggered = True
-            env = self.env
-            env._seq = seq = env._seq + 1
-            heapq.heappush(env._heap, (env.now, URGENT, seq, req))
+            self.env._urgent.append(req)
         else:
             self._seq += 1
             heapq.heappush(self._heap, (priority, self._seq, req))

@@ -256,7 +256,7 @@ class TrafficProcess(ArrivalProcess):
         for fn in self.functions:
             total += fn.weight
             self.global_cum.append(total)
-        self._peak = self._compute_peak()
+        self._build_segments()
 
     # -- rate envelope -------------------------------------------------------
     def _diurnal(self, t: float) -> float:
@@ -279,16 +279,33 @@ class TrafficProcess(ArrivalProcess):
                 stacked[b.tenant] = stacked.get(b.tenant, 1.0) * b.multiplier
         return sorted(stacked.items())
 
-    def _compute_peak(self) -> float:
-        edges = sorted({0.0}
-                       | {b.start for b in self.bursts}
-                       | {b.start + b.duration for b in self.bursts})
-        factor = max(self._burst_factor(edge) for edge in edges)
-        return (self.spec.total_rps * (1.0 + self.spec.diurnal_amplitude)
-                * factor)
+    def _build_segments(self) -> None:
+        """The burst-segment table behind :meth:`rate` and :meth:`_assign`.
+
+        The edges are 0 and every burst start and end, sorted.  No edge
+        lies inside a segment ``[edges[i], edges[i + 1])``, so every
+        burst's ``start <= t < start + duration`` test is constant over
+        it, and the scan's value at the left edge is its value at every
+        ``t`` in the segment, bit for bit.  (Before 0 and after the last
+        edge no burst is active, so ``t < 0`` may use the last segment.)
+        Per segment the table keeps the active tenants' stacked
+        multipliers, the burst factor and ``_assign``'s mixture total.
+        """
+        self._edges = sorted({0.0}
+                             | {b.start for b in self.bursts}
+                             | {b.start + b.duration for b in self.bursts})
+        self._mults = [self._tenant_multipliers(edge) for edge in self._edges]
+        self._factors = [self._burst_factor(edge) for edge in self._edges]
+        self._totals = [1.0 + sum((m - 1.0) * self.tenant_share[tn]
+                                  for tn, m in mults)
+                        for mults in self._mults]
+        self._peak = (self.spec.total_rps
+                      * (1.0 + self.spec.diurnal_amplitude)
+                      * max(self._factors))
 
     def rate(self, t: float) -> float:
-        return self.spec.total_rps * self._diurnal(t) * self._burst_factor(t)
+        return (self.spec.total_rps * self._diurnal(t)
+                * self._factors[bisect.bisect_right(self._edges, t) - 1])
 
     @property
     def peak_rate(self) -> float:
@@ -304,12 +321,11 @@ class TrafficProcess(ArrivalProcess):
         draw from tenant *t*'s internal distribution — summing to the
         exact per-function proportions without per-function work.
         """
-        mults = self._tenant_multipliers(t)
+        segment = bisect.bisect_right(self._edges, t) - 1
+        mults = self._mults[segment]
         if not mults:
             return self._draw_global(rng)
-        total = 1.0 + sum((m - 1.0) * self.tenant_share[tn]
-                          for tn, m in mults)
-        u = rng.random() * total
+        u = rng.random() * self._totals[segment]
         if u < 1.0:
             return self._draw_global(rng)
         u -= 1.0

@@ -21,6 +21,15 @@ One small cell per fault path:
   verdicts, vetoes, candidates parked until the sort);
 * linux-ra x2 remote: snapshot chunks staged from the remote tier.
 
+Two more cells pin the fleet path, which the page-level cells never
+reach:
+
+* traffic: gateway, snapshot-locality routing with overflow, histogram
+  keep-alive with pre-warm, autoscaling up and down, and the seeded
+  arrival stream (calibration included);
+* cluster x2: the page-level fleet (two kernels in one environment)
+  behind the same gateway.
+
 A pin changes only with a declared model change, which re-derives it
 from ``run_scenario`` output.
 
@@ -37,12 +46,14 @@ import hashlib
 import pytest
 
 from repro import ScenarioSpec, run_scenario
+from repro.cluster.spec import ClusterSpec
 from repro.harness.experiment import make_kernel
 from repro.harness.figures import pressure_ram_bytes
 from repro.sim import Environment
 from repro.snapstore.spec import SnapStoreSpec
 from repro.units import MIB
-from repro.workloads.profile import FunctionProfile
+from repro.workloads.profile import FunctionProfile, profile_by_name
+from repro.workloads.traffic import TrafficSpec
 
 #: json scaled down (a third of its working set), so every cell is quick.
 SMALL = FunctionProfile(
@@ -111,6 +122,35 @@ PINS = {
 }
 
 
+FLEET_SPECS = {
+    # 415 invocations: 233 overflow routes, 145 pre-warms, 3 scale-ups
+    # and 1 scale-down.
+    "traffic": ScenarioSpec(
+        profile_by_name("json"), "snapbpf",
+        cluster=ClusterSpec(
+            keepalive="histogram", n_nodes=2, overflow_inflight=3,
+            autoscale=True, min_nodes=2, max_nodes=4, target_inflight=1.5,
+            keepalive_percentile=25.0, keepalive_min_samples=2,
+            keepalive_min_ttl=0.05,
+            traffic=TrafficSpec(
+                n_functions=40, n_tenants=3, total_rps=30.0, duration=10.0,
+                diurnal_period=6.0, n_bursts=2, burst_multiplier=4.0,
+                burst_duration=2.0, shapes=("json",), seed=3))),
+    "cluster x2": ScenarioSpec(SMALL, "snapbpf", cluster=ClusterSpec(
+        n_nodes=2, n_functions=3, duration=3.0, rate_per_function=2.0,
+        overflow_inflight=1)),
+}
+
+FLEET_PINS = {
+    "traffic": (
+        "212a2665f0f2e5b07a19126912637080f763adb56f32f709170fe7854377991c",
+        84815),
+    "cluster x2": (
+        "543ac9541a4d37c5bebb24843ff71a9f3cbf22696330d1968b21b028929e9f6f",
+        150731),
+}
+
+
 @pytest.fixture
 def environments(monkeypatch):
     """Every Environment created while the test runs."""
@@ -139,3 +179,11 @@ def test_result_digest(label, environments):
     assert frames.counters.file == frames.in_use == cache.cached_pages()
     assert all(entry.frame.mapcount == 0
                for entry in cache._entries.values())
+
+
+@pytest.mark.parametrize("label", list(FLEET_SPECS))
+def test_fleet_result_digest(label, environments):
+    result = run_scenario(FLEET_SPECS[label])
+    digest = hashlib.sha256(result.to_json().encode()).hexdigest()
+    events = sum(env.events_processed for env in environments)
+    assert (digest, events) == FLEET_PINS[label]

@@ -93,3 +93,20 @@ def test_zero_delay_timeout(env):
     p = env.process(proc())
     env.run()
     assert p.value == 0.0
+
+
+@pytest.mark.parametrize("priority", [-1, 2, 5])
+def test_unknown_priority_rejected(env, priority):
+    """Only URGENT and NORMAL exist: an URGENT event must fire at the
+    current time, and a third level would fit neither queue."""
+    from repro.sim import SimulationError
+    event = env.event()
+    with pytest.raises(SimulationError, match="priority"):
+        event.succeed(priority=priority)
+    with pytest.raises(SimulationError, match="priority"):
+        event.fail(RuntimeError("x"), priority=priority)
+    assert not event.triggered
+    assert env.peek() == float("inf")
+    event.succeed("late")  # still usable once given a real priority
+    env.run()
+    assert event.processed and event.value == "late"

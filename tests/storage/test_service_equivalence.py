@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.faults.injectors import DeviceFaultInjector
 from repro.faults.schedule import FaultConfig, FaultStats
 from repro.sim import Environment
+from repro.sim.engine import NORMAL, URGENT
 from repro.storage.device import (
     PRIO_READAHEAD,
     PRIO_SYNC,
@@ -66,7 +67,10 @@ class LoggedEnvironment(Environment):
         self.schedule: list[tuple[float, int]] = []
 
     def step(self) -> None:
-        self.schedule.append(self._heap[0][:2])
+        # The next event is the URGENT lane's head (due now) if there is
+        # one, else the NORMAL heap's head.
+        self.schedule.append((self.now, URGENT) if self._urgent
+                             else (self._heap[0][0], NORMAL))
         super().step()
 
 
