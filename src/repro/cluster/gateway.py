@@ -163,6 +163,19 @@ class Gateway:
         cnode.state = state
         self._record_membership()
 
+    def topology(self) -> dict:
+        """Every node's id, name, state, in-flight and served counts,
+        plus the node count per state: the serve hub's fleet view."""
+        counts: dict[str, int] = {}
+        nodes = []
+        for cnode in self.nodes.values():
+            counts[cnode.state] = counts.get(cnode.state, 0) + 1
+            nodes.append({"id": cnode.node_id, "name": cnode.name,
+                          "state": cnode.state,
+                          "inflight": cnode.inflight,
+                          "served": cnode.served})
+        return {"nodes": nodes, "counts": counts}
+
     def _record_membership(self) -> None:
         self._routable = tuple(n for n in self.nodes.values() if n.routable)
         count = len(self._routable)

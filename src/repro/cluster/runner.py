@@ -210,21 +210,10 @@ def run_cluster(spec, fault_config=None, fault_seed: int = 0,
         min_samples=cspec.keepalive_min_samples, prewarm=cspec.prewarm)
 
     if telemetry is not None:
-        def fleet_topology() -> dict:
-            counts: dict[str, int] = {}
-            nodes = []
-            for cnode in gateway.nodes.values():
-                counts[cnode.state] = counts.get(cnode.state, 0) + 1
-                nodes.append({"id": cnode.node_id, "name": cnode.name,
-                              "state": cnode.state,
-                              "inflight": cnode.inflight,
-                              "served": cnode.served})
-            return {"nodes": nodes, "counts": counts}
-
         env.telemetry = telemetry
         telemetry.attach_registry(registry)
         telemetry.attach_tracer(tracer)
-        telemetry.attach_fleet_provider(fleet_topology)
+        telemetry.attach_fleet_provider(gateway.topology)
         telemetry.attach_engine(env)
         telemetry.flush(phase=f"cluster:{cspec.policy}")
 

@@ -359,21 +359,10 @@ def run_traffic(spec, tracer: Tracer | None = None,
         "traffic_e2e_seconds", "E2E latency, all tenants", base=1e-4)
 
     if telemetry is not None:
-        def fleet_topology() -> dict:
-            counts: dict[str, int] = {}
-            out = []
-            for cnode in gateway.nodes.values():
-                counts[cnode.state] = counts.get(cnode.state, 0) + 1
-                out.append({"id": cnode.node_id, "name": cnode.name,
-                            "state": cnode.state,
-                            "inflight": cnode.inflight,
-                            "served": cnode.served})
-            return {"nodes": out, "counts": counts}
-
         env.telemetry = telemetry
         telemetry.attach_registry(registry)
         telemetry.attach_tracer(tracer)
-        telemetry.attach_fleet_provider(fleet_topology)
+        telemetry.attach_fleet_provider(gateway.topology)
         telemetry.attach_engine(env)
         telemetry.attach_tenant_counts(t_requests)
         telemetry.flush(phase=f"traffic:{cspec.keepalive}")

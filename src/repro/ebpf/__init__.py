@@ -16,8 +16,10 @@ subsystem itself:
   interpretation over register types — rejecting uninitialized reads,
   out-of-bounds stack/map accesses, dereferences of unchecked
   ``bpf_map_lookup_elem`` results, and calls to unregistered kfuncs,
-* an interpreter (:mod:`repro.ebpf.interp`) with a runtime instruction
-  budget (the loop-termination guarantee),
+* a runtime (:mod:`repro.ebpf.interp`) that runs each verified program
+  as the closure :mod:`repro.ebpf.compile` translates it into at load
+  time, with a runtime instruction budget (the loop-termination
+  guarantee),
 * kprobe attach points fired by the simulated kernel
   (:mod:`repro.ebpf.kprobe`) and a kfunc registry
   (:mod:`repro.ebpf.kfunc`).

@@ -1,43 +1,42 @@
-"""Compile tier: translate verified programs into Python closures.
+"""Translate verified programs into Python closures: the one eBPF tier.
 
-The interpreter in :mod:`repro.ebpf.interp` re-dispatches on instruction
-dataclasses for every executed instruction; at figure-sweep scale that
-dispatch is one of the hottest frames in the whole simulation.  The
-kernel solves the same problem by JIT-compiling verified programs once
-and running native code afterwards.  This module is the analogous tier
-for the miniature machine: a program's instruction list is translated
-*once* into Python source (basic blocks inside a dispatch loop), compiled
-to CPython bytecode, and the resulting closure is what
-:meth:`~repro.ebpf.interp.Interpreter.run` executes from then on.
+The kernel JIT-compiles a verified program once and runs native code on
+every fire.  This module is the analogous step for the miniature
+machine: a program's instruction list is translated *once* into Python
+source (basic blocks inside a dispatch loop), compiled to CPython
+bytecode, and the resulting closure is what
+:meth:`~repro.ebpf.interp.Interpreter.run` executes.  There is no other
+way to run a program: one this module cannot translate fails to load
+(:class:`CompileError`), and ``KprobeManager.attach`` reports that as an
+``AttachError``.
 
-Semantics are identical to the interpreter by construction:
+The runtime's semantics:
 
-* registers hold the same value domain (masked u64 ints, ``_Ptr``,
-  ``None``), every ALU/jump/load/store replicates the interpreter's type
-  checks, masking, and ``RuntimeFault`` messages;
-* helpers and kfuncs are resolved at compile (program-load) time — the
-  per-invocation table lookups the interpreter used to do are hoisted
-  here, and the interpreter tier shares the same load-time resolution;
-* ``insn_count`` is accounted per basic block, so every terminating run
-  reports exactly the interpreter's executed-instruction count (the
-  quantity the kprobe path converts into simulated seconds — figure
-  outputs stay byte-identical);
+* registers hold masked u64 ints, ``_Ptr`` pointers or ``None``
+  (clobbered or never written); every ALU/jump/load/store checks its
+  operand types, masks to 64 bits, and faults with a ``RuntimeFault``
+  naming the violation;
+* helpers and kfuncs are resolved at compile (program-load) time; an
+  unknown helper id or an unregistered kfunc raises its error only when
+  execution reaches the call;
+* ``insn_count`` is the number of executed instructions, the quantity
+  the kprobe path converts into simulated seconds;
+* the instruction budget is charged per basic block, at the block's
+  entry: a run that would exhaust the budget inside a block faults at
+  that block's entry, reporting the pc of the first instruction past
+  the budget, and none of the block's instructions run.  Verified
+  programs never reach the budget (the verifier bounds their loops);
 * the legal pointer cases are emitted inline: ``add``/``sub`` of a
   scalar to a pointer (an immediate's offset folded at compile time),
   the ``jeq``/``jne`` NULL check against 0 on a pointer, and the map
   and buffer arguments of the map and ringbuf helpers.  Every type and
   bounds check still runs per execution; the cases that fault fall
   through to ``_alu_slow``, ``_jmp_slow`` and ``_Region.read_bytes``,
-  which raise the interpreter's messages.
+  which raise the fault's message.
 
-The one deliberate divergence: the instruction budget is enforced at
-basic-block granularity, so a run that *exhausts* the budget faults at
-the same reported pc and count but without replaying the faulting
-block's partial side effects.  Verified programs never reach the budget
-(the verifier bounds their loops); the interpreter, which runs
-programs this module rejects with :class:`CompileError` and is the
-reference the equivalence fuzz compares against, keeps the
-per-instruction behaviour.
+``tests/ebpf/reference_interp.py`` keeps a per-instruction interpreter
+of the same semantics (checking the budget before every instruction);
+the equivalence fuzz in ``tests/ebpf`` runs both side by side.
 
 Compiled code objects are cached by program *structure* (instruction
 tuple, map table names, kfunc signatures), so the many per-VM clones of
@@ -84,8 +83,10 @@ _MASK = "0x%X" % U64_MASK
 
 
 class CompileError(ValueError):
-    """The program cannot be compiled (unresolved labels, unknown insn);
-    the caller falls back to the interpreter."""
+    """The program cannot be compiled (a non-integer jump target, an
+    unknown instruction or ALU op): it fails to load.  The instruction
+    constructors and the verifier reject every such program, so only an
+    unverified one raises this."""
 
 
 class CompiledProgram:
@@ -104,11 +105,11 @@ class CompiledProgram:
 # -- runtime support shared by every closure ---------------------------------
 
 def _budget_fault(budget: int, executed: int, pcs: tuple) -> None:
-    """Raise the interpreter's budget fault at the exact faulting pc.
+    """Raise the budget fault naming the instruction that crosses it.
 
     ``executed`` already includes the whole block (``len(pcs)`` charged
-    up front); the interpreter would have stopped after ``budget`` total
-    instructions, i.e. ``executed - budget`` from the end of this block.
+    up front); the budget runs out after ``budget`` total instructions,
+    i.e. ``executed - budget`` from the end of this block.
     """
     idx = len(pcs) - (executed - budget)
     raise RuntimeFault(
@@ -519,7 +520,7 @@ class _Codegen:
             self.emit(ind, "r0 = (0 if _ps is None else "
                            f"int(_ps.cached_pages(_v)) & {_MASK})")
         else:
-            # Unknown id: raise the interpreter's error lazily, when (if)
+            # Unknown id: raise the helper table's error lazily, when (if)
             # execution actually reaches the call.
             self.emit(ind, f"_spec_for({hid})")
             self.emit(ind, "raise RuntimeFault("
@@ -529,7 +530,7 @@ class _Codegen:
     def emit_kfunc(self, insn: CallKfunc, ind: int) -> None:
         if insn.name not in self.kfuncs:
             # Resolution failed at load time; raise the registry's error
-            # only if execution reaches the call (interpreter parity).
+            # only if execution reaches the call.
             self.emit(ind, f"rt.kfuncs.get({insn.name!r})")
             return
         spec = self.kfuncs.get(insn.name)
@@ -572,8 +573,7 @@ def compile_program(program: Program, interpreter) -> CompiledProgram:
     """Translate ``program`` once for ``interpreter``'s runtime.
 
     Raises :class:`CompileError` for programs the generator cannot
-    handle (unresolved labels, foreign instruction types); the caller
-    keeps interpreting those.
+    handle (unresolved labels, foreign instruction types).
     """
     gen = _Codegen(program, interpreter.kfuncs)
     source = gen.generate()

@@ -6,7 +6,7 @@ R6-R9 callee-saved, R10 read-only frame pointer to a 512-byte stack.
 
 Instructions are plain dataclasses rather than packed 8-byte words; the
 opcode vocabulary and operand semantics mirror eBPF so that the verifier
-and interpreter face the same problems the real ones do.
+and runtime face the same problems the real ones do.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ebpf.asm import Program
+from repro.ebpf.compile import CompileError
 from repro.ebpf.interp import INSN_COST_SECONDS, Interpreter
 from repro.ebpf.kfunc import KfuncRegistry
 from repro.ebpf.verifier import Verifier
@@ -36,8 +37,9 @@ class KprobeError(ValueError):
 
 class AttachError(KprobeError):
     """A structurally valid attach failed at runtime (resource
-    exhaustion, injected fault) — the failure mode the host must handle
-    by degrading, not the programmer error :class:`KprobeError` models."""
+    exhaustion, injected fault, a program the compiler cannot translate)
+    — the failure mode the host must handle by degrading, not the
+    programmer error :class:`KprobeError` models."""
 
 
 @dataclass
@@ -90,9 +92,14 @@ class KprobeManager:
         Verifier(ctx_size=hook.ctx_size, kfuncs=self.kfuncs).verify(program)
         if self.fault_injector is not None:
             self.fault_injector.on_attach(name, program)
-        # Compile the now-verified program (and resolve its kfunc table)
-        # once at attach time so the first fire already runs native code.
-        self.interpreter.prepare(program)
+        # Compile the now-verified program once at attach time so the
+        # first fire already runs compiled code.  There is no other tier
+        # to run it on, so a program the compiler rejects fails to attach.
+        try:
+            self.interpreter.prepare(program)
+        except CompileError as exc:
+            raise AttachError(
+                f"program {program.name!r} failed to compile: {exc}") from exc
         hook.programs.append(program)
 
     def map_capacity(self, requested: int) -> int:

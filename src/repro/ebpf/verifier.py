@@ -12,8 +12,12 @@ dereference.  A program attaches only if every path:
 * null-checks every ``bpf_map_lookup_elem`` result before dereference,
 * passes correctly-typed arguments to helpers,
 * only calls kfuncs registered with the runtime it attaches to,
-* terminates verification within a state budget (the runtime interpreter
+* terminates verification within a state budget (the runtime
   additionally enforces an executed-instruction budget).
+
+Before exploring any path it checks that every instruction, reachable
+or not, is one the load-time compiler translates: a known instruction
+type, and an integer (label-resolved) jump target.
 
 The abstract domain is finite (types + bounded offsets), so the worklist
 fixpoint terminates even for programs with loops — which SnapBPF's
@@ -105,6 +109,8 @@ _SCALAR = Scalar()
 _POINTER_TYPES = (ConstPtrToMap, PtrToMapValue, PtrToMapValueOrNull,
                   PtrToStack, PtrToCtx)
 
+_INSN_TYPES = (Alu, Jmp, Load, Store, LoadMapFd, Call, CallKfunc, Exit)
+
 
 @dataclass(frozen=True)
 class AbstractState:
@@ -158,6 +164,15 @@ class Verifier:
         if not isinstance(insns[-1], (Exit, Jmp)):
             raise VerificationError(len(insns) - 1,
                                     "program does not end with exit or jump")
+        # Every instruction must decode, reachable or not: the whole
+        # program is compiled at load time, like the kernel's JIT.
+        for pc, insn in enumerate(insns):
+            if not isinstance(insn, _INSN_TYPES):
+                raise VerificationError(pc, f"unknown instruction {insn!r}")
+            if isinstance(insn, Jmp) and not isinstance(insn.target, int):
+                raise VerificationError(
+                    pc, f"jump target {insn.target!r} is not an "
+                        "instruction index")
 
         seen: dict[int, set[AbstractState]] = {}
         worklist: list[tuple[int, AbstractState]] = [
@@ -202,9 +217,8 @@ class Verifier:
                                             ConstPtrToMap(insn.map_name)))]
         if isinstance(insn, Call):
             return [(pc + 1, self._call(program, pc, state, insn))]
-        if isinstance(insn, CallKfunc):
-            return [(pc + 1, self._call_kfunc(pc, state, insn))]
-        raise VerificationError(pc, f"unknown instruction {insn!r}")
+        # A CallKfunc: verify() rejected every other type up front.
+        return [(pc + 1, self._call_kfunc(pc, state, insn))]
 
     def _read_reg(self, pc: int, state: AbstractState, reg: int,
                   what: str) -> AbstractValue:
@@ -284,8 +298,8 @@ class Verifier:
                     pc, f"comparison on unchecked/const map pointer ({operand})")
         # Pointers admit only the exact NULL-check shape the runtime
         # accepts, `jeq/jne ptr, 0`.  Anything else — nonzero immediate,
-        # relational op, or a pointer in the src operand — faults in the
-        # interpreter, so reject it here.
+        # relational op, or a pointer in the src operand — faults at
+        # runtime, so reject it here.
         if src_val is not None and not isinstance(src_val, Scalar):
             raise VerificationError(pc, "pointer in jump src operand")
         if not isinstance(dst_val, Scalar) and not (

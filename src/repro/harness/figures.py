@@ -469,7 +469,8 @@ def build_figure(figure: str, cache: ResultCache | None = None,
     """Build one figure by name against a (possibly pre-warmed) cache,
     reading exactly the cells :func:`figure_specs` names."""
     fig = _variant(figure, quick)
-    cache = cache or ResultCache()
+    if cache is None:  # not ``or``: a ResultCache with no entries is falsy
+        cache = ResultCache()
     cells = _cells(fig, functions)
     results = {(profile, column, point): cache.get(spec)
                for profile, column, point, spec in cells}

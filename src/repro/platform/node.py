@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.baselines.base import Approach, approach_registry
 from repro.cluster.keepalive import FixedTTLPolicy, KeepAlivePolicy
@@ -114,18 +113,16 @@ class NodeReport:
 class FaaSNode:
     """One host serving a mix of functions with one restore approach."""
 
-    def __init__(self, kernel: Kernel,
-                 approach_factory: Callable[[Kernel], Approach] | str,
+    def __init__(self, kernel: Kernel, approach: str,
                  profiles: list[FunctionProfile],
                  warm_pool_ttl: float | None = None,
                  request_deadline: float | None = None,
                  keepalive: KeepAlivePolicy | None = None):
-        if isinstance(approach_factory, str):
-            approach_factory = approach_registry()[approach_factory]
+        factory = approach_registry()[approach]
         self.kernel = kernel
         self.profiles = {p.name: p for p in profiles}
         self.approaches: dict[str, Approach] = {
-            p.name: approach_factory(kernel) for p in profiles}
+            p.name: factory(kernel) for p in profiles}
         self.warm_pool_ttl = warm_pool_ttl
         #: Keep-alive policy deciding park TTLs and pre-warm windows.
         #: Default reproduces the historic fixed-TTL path exactly.

@@ -1,25 +1,27 @@
-"""Compiled-tier equivalence fuzzing.
+"""Compiled-runtime equivalence fuzzing.
 
-The compile tier (:mod:`repro.ebpf.compile`) promises *observational
-equivalence* with the interpreter for every verifier-accepted program:
-same :class:`ExecutionResult` (r0 and insn_count), same runtime faults
-with the same messages, same final map states, same ring-buffer record
-streams.  This harness generates random programs with a seeded RNG
-until 200 of them pass the verifier, then runs each accepted program
-through both tiers — fresh maps per tier — over a shared context
-sequence and compares everything observable.
+The runtime runs every program as the closure :mod:`repro.ebpf.compile`
+translates it into.  It promises *observational equivalence* with the
+per-instruction reference interpreter (``reference_interp.py``) for
+every verifier-accepted program: same :class:`ExecutionResult` (r0 and
+insn_count), same runtime faults with the same messages, same final map
+states, same ring-buffer record streams.  This harness generates random
+programs with a seeded RNG until 200 of them pass the verifier, then
+runs each accepted program through both — fresh maps for each — over a
+shared context sequence and compares everything observable.
 
 Two real programs (capture and prefetch-guard) ride along as
 deterministic cases covering the ring-buffer write path and the
 array-map state machine the random space reaches only occasionally.
-So do small programs for every case the compiled tier emits inline:
+So do small programs for every case the compiler emits inline:
 pointer ``add``/``sub``, the NULL check on a lookup result, and the map
 and buffer arguments of the map and ringbuf helpers, including the
-faults each must raise with the interpreter's message.
+faults each must raise with the reference's message.
 """
 
 import random
 import struct
+from functools import partial
 
 import pytest
 
@@ -61,10 +63,12 @@ from repro.ebpf.insn import (
     LoadMapFd,
     Store,
 )
-from repro.ebpf.insn import R0, R1, R2, R3, R10
+from repro.ebpf.compile import CompileError
+from repro.ebpf.insn import R0, R1, R2, R3, R6, R10, U64_MASK
 from repro.ebpf.interp import Interpreter, RuntimeFault, pack_u64
 from repro.ebpf.maps import ArrayMap, HashMap, RingBufMap
 from repro.ebpf.verifier import VerificationError, Verifier
+from tests.ebpf import reference_interp
 
 CTX_SIZE = 16
 PROGRAM_LEN = 12
@@ -128,17 +132,27 @@ def _map_state(bpf_map):
     raise AssertionError(f"unknown map kind {bpf_map!r}")
 
 
-def _run_tier(program: Program, ctxs, use_compiled: bool):
+def _runner(interp: Interpreter, compiled: bool):
+    """``interp``'s own (compiled) entry point, or the reference loop
+    running against the same runtime."""
+    return interp.run if compiled else partial(reference_interp.interpret,
+                                               interp)
+
+
+def _run_tier(program: Program, ctxs, compiled: bool):
     """One tier's full observable behaviour over a context sequence."""
     interp = Interpreter()
-    interp.use_compiled = use_compiled
-    if use_compiled:
-        assert interp.prepare(program) is not None, (
-            f"verified program failed to compile:\n{program.insns}")
+    if compiled:
+        try:
+            interp.prepare(program)
+        except CompileError as exc:
+            pytest.fail(f"verified program failed to compile ({exc}):\n"
+                        f"{program.insns}")
+    run = _runner(interp, compiled)
     outcomes = []
     for ctx in ctxs:
         try:
-            result = interp.run(program, ctx, budget=BUDGET)
+            result = run(program, ctx, budget=BUDGET)
         except RuntimeFault as fault:
             outcomes.append(("fault", str(fault)))
         else:
@@ -148,8 +162,8 @@ def _run_tier(program: Program, ctxs, use_compiled: bool):
 
 
 def _assert_equivalent(insns, ctxs):
-    compiled = _run_tier(_build(insns), ctxs, use_compiled=True)
-    interpreted = _run_tier(_build(insns), ctxs, use_compiled=False)
+    compiled = _run_tier(_build(insns), ctxs, compiled=True)
+    interpreted = _run_tier(_build(insns), ctxs, compiled=False)
     assert compiled == interpreted, (
         f"tier divergence on:\n{list(insns)}\n"
         f"compiled:    {compiled}\ninterpreted: {interpreted}")
@@ -180,12 +194,12 @@ def test_capture_program_equivalent_across_tiers():
     """Ring-buffer stream equivalence on the real capture program."""
     ino = 4242
 
-    def run_tier(use_compiled):
+    def run_tier(compiled):
         interp = Interpreter(time_ns=iter(range(0, 10_000, 7)).__next__)
-        interp.use_compiled = use_compiled
+        run = _runner(interp, compiled)
         events = make_events_ringbuf("ev", max_entries=64)
         program = build_capture_program(ino, events)
-        outcomes = [interp.run(program, struct.pack("<QQ", i_no, index))
+        outcomes = [run(program, struct.pack("<QQ", i_no, index))
                     for index in range(80)
                     for i_no in (ino, ino + 1)]  # hits and filtered inos
         return outcomes, events.consume(), events.dropped
@@ -200,25 +214,56 @@ def test_prefetch_program_equivalent_across_tiers():
 
     ino = 777
 
-    def run_tier(use_compiled):
+    def run_tier(compiled):
         calls = []
         kfuncs = KfuncRegistry()
         kfuncs.register(SNAPBPF_PREFETCH,
                         lambda ino_, start, count: calls.append(
                             (ino_, start, count)) or 0, n_args=3)
         interp = Interpreter(kfuncs=kfuncs)
-        interp.use_compiled = use_compiled
+        run = _runner(interp, compiled)
         groups = make_groups_map("groups", n_groups=3)
         for index, (start, count) in enumerate(((10, 4), (64, 32), (2, 1))):
             groups.update_u64s(index, start, count)
         state = make_state_map("state")
         program = build_prefetch_program(ino, groups, state)
         # First fire walks and detaches; repeats take the done-flag exit.
-        outcomes = [interp.run(program, struct.pack("<QQ", ino, 0))
+        outcomes = [run(program, struct.pack("<QQ", ino, 0))
                     for _ in range(3)]
         return outcomes, calls, _map_state(state)
 
     assert run_tier(True) == run_tier(False)
+
+
+# -- every scalar op over edge operands -----------------------------------------
+# Random programs rarely route an ALU result or a branch into r0, so the
+# fuzz above alone misses a wrong operator; these walk every one.
+
+#: Zero (the div/mod-by-zero rule), small values, the sign bit and u64 max.
+_EDGES = (0, 1, 7, (1 << 63) | 5, U64_MASK)
+
+
+@pytest.mark.parametrize("op", sorted(ALU_OPS - {"mov"}))
+def test_scalar_alu_ops_equivalent(op):
+    for a in _EDGES:
+        if op == "neg":
+            _assert_equivalent([movi(R0, a), Alu("neg", R0)], [b""])
+            continue
+        for b in _EDGES:
+            _assert_equivalent([movi(R0, a), movi(R3, b), alu(op, R0, R3)],
+                               [b""])
+            _assert_equivalent([movi(R0, a), alui(op, R0, b)], [b""])
+
+
+@pytest.mark.parametrize("op", sorted(JMP_OPS - {"ja"}))
+def test_scalar_jump_ops_equivalent(op):
+    for a in _EDGES:
+        for b in _EDGES:
+            for check in ([movi(R3, b), jcond(op, R6, "taken", src=R3)],
+                          [jcond(op, R6, "taken", imm=b)]):
+                _assert_equivalent(
+                    [movi(R6, a), *check, movi(R0, 1), exit_(),
+                     Label("taken"), movi(R0, 2)], [b""])
 
 
 # -- the inlined cases, one small program each ---------------------------------
@@ -227,7 +272,7 @@ def _outcome(source, ctx=pack_u64(7, 9)):
     """The one outcome both tiers agree on for ``source``."""
     _assert_equivalent(source, [ctx])
     outcomes, _states, _log = _run_tier(_build(source), [ctx],
-                                        use_compiled=True)
+                                        compiled=True)
     return outcomes[0]
 
 

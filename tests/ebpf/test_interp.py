@@ -4,6 +4,7 @@ import pytest
 
 from repro.ebpf.asm import (
     Label,
+    Program,
     assemble,
     alu,
     alui,
@@ -25,7 +26,8 @@ from repro.ebpf.helpers import (
     BPF_FUNC_MAP_UPDATE_ELEM,
     BPF_FUNC_TRACE_PRINTK,
 )
-from repro.ebpf.insn import R0, R1, R2, R3, R4, R6, R10, U64_MASK
+from repro.ebpf.compile import CompileError
+from repro.ebpf.insn import R0, R1, R2, R3, R4, R6, R10, U64_MASK, Exit, Jmp
 from repro.ebpf.interp import Interpreter, RuntimeFault, pack_u64
 from repro.ebpf.kfunc import KfuncRegistry
 from repro.ebpf.maps import HashMap
@@ -250,3 +252,11 @@ class TestBudget:
             exit_(),
         ])
         assert result.insn_count == 2 + 3 * 100 + 1 + 1
+
+
+def test_uncompilable_program_does_not_run():
+    # No per-instruction fallback: a program the compiler rejects (here
+    # an unresolved label, which the verifier would refuse) cannot run.
+    prog = Program("t", [movi(R0, 0), Jmp("ja", "nowhere"), Exit()])
+    with pytest.raises(CompileError, match="unresolved jump target"):
+        Interpreter().run(prog)

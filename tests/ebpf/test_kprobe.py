@@ -3,10 +3,12 @@ and the self-detach convention the prefetch program uses."""
 
 import pytest
 
+import repro.ebpf.compile as compile_mod
 from repro.ebpf.asm import assemble, exit_, load, movi
 from repro.ebpf.insn import R0, R6, R1
 from repro.ebpf.interp import pack_u64
-from repro.ebpf.kprobe import RET_DETACH_SELF, KprobeError, KprobeManager
+from repro.ebpf.kprobe import (RET_DETACH_SELF, AttachError, KprobeError,
+                               KprobeManager)
 
 
 def trivial_program(name="p", ret=0):
@@ -36,6 +38,19 @@ def test_attach_verifies(kp):
     bad = assemble("bad", [exit_()])  # R0 uninitialized
     with pytest.raises(Exception):
         kp.attach("add_to_page_cache_lru", bad)
+    assert kp.attached("add_to_page_cache_lru") == []
+
+
+def test_attach_of_uncompilable_program_fails(kp, monkeypatch):
+    """Compiled closures are the only tier: a verified program the
+    compiler rejects fails to attach (the error hosts degrade on) and
+    never reaches the hook."""
+    def reject(program, interpreter):
+        raise compile_mod.CompileError("cannot translate")
+
+    monkeypatch.setattr(compile_mod, "compile_program", reject)
+    with pytest.raises(AttachError, match="failed to compile"):
+        kp.attach("add_to_page_cache_lru", trivial_program())
     assert kp.attached("add_to_page_cache_lru") == []
 
 

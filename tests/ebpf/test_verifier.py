@@ -8,6 +8,7 @@ import pytest
 
 from repro.ebpf.asm import (
     Label,
+    Program,
     assemble,
     alu,
     alui,
@@ -28,7 +29,8 @@ from repro.ebpf.helpers import (
     BPF_FUNC_MAP_LOOKUP_ELEM,
     BPF_FUNC_MAP_UPDATE_ELEM,
 )
-from repro.ebpf.insn import R0, R1, R2, R3, R4, R6, R7, R8, R10
+from repro.ebpf.insn import (
+    R0, R1, R2, R3, R4, R6, R7, R8, R10, Alu, Exit, Insn, Jmp)
 from repro.ebpf.kfunc import KfuncRegistry
 from repro.ebpf.maps import ArrayMap, HashMap
 from repro.ebpf.verifier import VerificationError, Verifier
@@ -68,6 +70,21 @@ class TestBasics:
         # Dead code after exit is never explored; accepted like the kernel
         # accepts unreachable-but-wellformed tails after pruning.
         verify([movi(R0, 0), exit_(), movi(R0, 1), exit_()])
+
+    def test_non_integer_jump_target_rejected(self):
+        # Built by hand: assemble() would resolve or refuse the label.
+        prog = Program("t", [Alu("mov", R0, imm=0), Jmp("ja", "later"),
+                             Exit()])
+        with pytest.raises(VerificationError,
+                           match="target 'later' is not an instruction"):
+            Verifier().verify(prog)
+
+    def test_unreachable_malformed_insn_rejected(self):
+        # The whole program is compiled at load, dead code included.
+        prog = Program("t", [Alu("mov", R0, imm=0), Exit(), Insn(),
+                             Exit()])
+        with pytest.raises(VerificationError, match="insn 2: unknown"):
+            Verifier().verify(prog)
 
 
 class TestStack:

@@ -1,19 +1,22 @@
-"""Verifier/interpreter soundness fuzzing.
+"""Verifier/runtime soundness fuzzing.
 
 Two properties the kernel verifier promises, checked over randomly
 generated programs:
 
 1. The verifier never crashes: any syntactically valid program is either
    accepted or rejected with a VerificationError.
-2. *Soundness*: a program the verifier accepts never faults at runtime —
-   no out-of-bounds access, no bad dereference, no type confusion — the
-   only permitted runtime stop is the instruction budget (loops).
+2. *Soundness*: a program the verifier accepts compiles, and never
+   faults at runtime — no out-of-bounds access, no bad dereference, no
+   type confusion — the only permitted runtime stop is the instruction
+   budget (loops).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ebpf.asm import Program, assemble
+from repro.ebpf.compile import CompileError
 from repro.ebpf.insn import (
     Alu,
     ALU_OPS,
@@ -100,8 +103,14 @@ def test_verified_programs_never_fault(insns):
         Verifier(ctx_size=CTX_SIZE).verify(program)
     except VerificationError:
         return  # rejected: nothing to run
+    interp = Interpreter()
     try:
-        result = Interpreter().run(program, pack_u64(7, 9), budget=50_000)
+        interp.prepare(program)
+    except CompileError as exc:
+        pytest.fail(f"verifier accepted a program that does not compile "
+                    f"({exc}):\n{program.insns}")
+    try:
+        result = interp.run(program, pack_u64(7, 9), budget=50_000)
     except RuntimeFault as fault:
         assert "budget" in str(fault), (
             f"verifier soundness hole: accepted program faulted with "
