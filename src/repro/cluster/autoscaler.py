@@ -53,7 +53,6 @@ class ClusterAutoscaler:
         #: ahead of predicted arrivals instead of reacting to them.
         self.keepalive = keepalive
         self.scale_ups = 0
-        self.scale_downs = 0
         self._booting = 0
         self._running = True
         self.process = env.process(self._loop(), name="autoscaler")
@@ -76,7 +75,6 @@ class ClusterAutoscaler:
         for cnode in [n for n in gateway.nodes.values()
                       if n.state == DRAINING and n.inflight == 0]:
             gateway.retire(cnode)
-            self.scale_downs += 1
 
         up = gateway.routable_nodes()
         if not up:

@@ -109,7 +109,6 @@ class Gateway:
         self._routable: tuple[ClusterNode, ...] = ()
         #: (time, routable node count) after every membership/state change.
         self.node_timeline: list[tuple[float, float]] = []
-        self.peak_nodes = 0
 
         m = self.registry
         self._requests = m.counter(
@@ -181,7 +180,6 @@ class Gateway:
         count = len(self._routable)
         self.node_timeline.append((self.env.now, float(count)))
         self._nodes_gauge.set(count)
-        self.peak_nodes = max(self.peak_nodes, count)
 
     # -- lifecycle events ---------------------------------------------------
     def crash(self, cnode: ClusterNode) -> None:

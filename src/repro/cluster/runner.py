@@ -1,13 +1,15 @@
-"""Drive one cluster scenario: fleet build-out, workload, aggregation.
+"""Drive one page-level cluster scenario: nodes, workload, aggregation.
 
-``run_cluster(spec)`` composes many kernels (one per node, each with its
-own device, frame pool, and metrics registry) inside ONE shared DES
-environment, routes a Poisson arrival stream through the gateway, and
-returns a :class:`ClusterReport`.  ``run_cluster_scenario(spec)`` wraps
-that into the standard :class:`~repro.metrics.results.ScenarioResult`
-shape (per-cluster counters in ``extra``, cluster registry snapshot in
-``metrics``) so the sweep engine, result store, and figure builders work
-unchanged.
+``run_cluster(spec)`` runs page-level ``FaaSNode`` hosts (one
+``make_kernel`` host per node, each with its own device, frame pool,
+and metrics registry) in the :class:`~repro.cluster.fleet.Fleet`
+build-out it shares with ``run_traffic``: ONE shared DES environment
+behind one gateway.  It routes a Poisson arrival stream through the
+gateway, optionally crashes nodes, and returns a :class:`ClusterReport`.
+``run_cluster_scenario(spec)`` wraps that into the standard
+:class:`~repro.metrics.results.ScenarioResult` shape (per-cluster
+counters in ``extra``, cluster registry snapshot in ``metrics``) so the
+sweep engine, result store, and figure builders work unchanged.
 
 Determinism: the whole run is a pure function of the spec (plus an
 optional fault config/seed) — seeded arrival stream, seeded routing,
@@ -21,26 +23,16 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field, replace
 
-from repro.metrics.registry import MetricsRegistry, nearest_rank
+from repro.harness.experiment import make_kernel
+from repro.metrics.registry import nearest_rank
 from repro.metrics.results import ScenarioResult
 from repro.mm.kernel import Kernel
 from repro.platform.node import FaaSNode
 from repro.platform.workload import poisson_arrivals
-from repro.sim import Environment
-from repro.storage.hdd import HDDevice
-from repro.storage.ssd import SSDevice
 from repro.trace import Tracer
-from repro.units import GIB
 
-from repro.cluster.autoscaler import ClusterAutoscaler
-from repro.cluster.gateway import (
-    BOOTING,
-    UP,
-    ClusterRequestResult,
-    Gateway,
-)
-from repro.cluster.keepalive import make_keepalive_policy
-from repro.cluster.routing import make_routing_policy
+from repro.cluster.fleet import Fleet
+from repro.cluster.gateway import ClusterRequestResult
 
 #: How often the fault plane rolls a crash die per routable node.
 CRASH_CHECK_INTERVAL = 0.25
@@ -190,32 +182,11 @@ def run_cluster(spec, fault_config=None, fault_seed: int = 0,
         raise ValueError("spec.cluster.traffic is set; use "
                          "repro.cluster.traffic.run_traffic")
 
-    env = Environment()
-    if tracer is None:  # not ``or``: a Tracer with no spans is falsy
-        tracer = Tracer()
-    registry = MetricsRegistry()
+    fleet = Fleet(spec, tracer=tracer, telemetry=telemetry)
+    env, gateway, keepalive = fleet.env, fleet.gateway, fleet.keepalive
+    tracer = fleet.tracer
     profiles = cluster_profiles(spec.function, cspec.n_functions)
-    policy = make_routing_policy(
-        cspec.policy, seed=spec.input_seed,
-        overflow_inflight=cspec.overflow_inflight)
-    gateway = Gateway(env, policy, registry=registry, tracer=tracer)
     kernels: list[Kernel] = []
-    # One keep-alive policy for the whole fleet (platform-level view of
-    # arrival history); nodes park/pre-warm through it, the autoscaler
-    # reads its pending pre-warms as imminent load.
-    keepalive = make_keepalive_policy(
-        cspec.keepalive, warm_pool_ttl=cspec.warm_pool_ttl,
-        percentile=cspec.keepalive_percentile,
-        min_ttl=cspec.keepalive_min_ttl, max_ttl=cspec.keepalive_max_ttl,
-        min_samples=cspec.keepalive_min_samples, prewarm=cspec.prewarm)
-
-    if telemetry is not None:
-        env.telemetry = telemetry
-        telemetry.attach_registry(registry)
-        telemetry.attach_tracer(tracer)
-        telemetry.attach_fleet_provider(gateway.topology)
-        telemetry.attach_engine(env)
-        telemetry.flush(phase=f"cluster:{cspec.policy}")
 
     schedule = None
     if fault_config is not None:
@@ -257,14 +228,8 @@ def run_cluster(spec, fault_config=None, fault_seed: int = 0,
             telemetry.attach_snapstore_provider(snapstore_occupancy)
 
     def build_node() -> FaaSNode:
-        device = (SSDevice(env) if spec.device_kind == "ssd"
-                  else HDDevice(env))
-        kernel = Kernel(env=env, device=device,
-                        ram_bytes=(spec.ram_bytes if spec.ram_bytes
-                                   is not None else 256 * GIB),
-                        costs=spec.costs, tracer=tracer)
-        if spec.ram_bytes is not None:
-            kernel.reclaim.enable_watermarks()
+        kernel = make_kernel(spec.device_kind, spec.ram_bytes, spec.costs,
+                             env=env, tracer=tracer)
         if schedule is not None:
             schedule.install(kernel)
         if spec.snapstore is not None:
@@ -279,41 +244,20 @@ def run_cluster(spec, fault_config=None, fault_seed: int = 0,
                         request_deadline=cspec.request_deadline,
                         keepalive=keepalive)
 
-    def finish_boot(cnode) -> None:
-        if spec.evict_policy is not None:
-            from repro.core.policies import attach_evict_policy
-            attach_evict_policy(cnode.node.kernel, spec.evict_policy)
-        gateway.mark(cnode, UP)
+    def attach_policy(node: FaaSNode) -> None:
+        from repro.core.policies import attach_evict_policy
+        attach_evict_policy(node.kernel, spec.evict_policy)
 
-    # -- stage the initial fleet (record phases run before traffic) ---------
-    for _ in range(cspec.n_nodes):
-        cnode = gateway.add_node(build_node(), state=BOOTING)
-        env.run(env.process(cnode.node.prepare(),
-                            name=f"prepare-{cnode.name}"))
-        finish_boot(cnode)
-
-    autoscaler = None
-    if cspec.autoscale:
-        def spawn_node():
-            return gateway.add_node(build_node(), state=BOOTING)
-
-        autoscaler = ClusterAutoscaler(
-            env, gateway, spawn_node, on_node_ready=finish_boot,
-            target_inflight=cspec.target_inflight,
-            min_nodes=cspec.min_nodes, max_nodes=cspec.max_nodes,
-            scale_interval=cspec.scale_interval,
-            drain_idle_intervals=cspec.drain_idle_intervals,
-            node_boot_seconds=cspec.node_boot_seconds, tracer=tracer,
-            keepalive=keepalive)
+    base = fleet.stage(build_node, on_ready=(
+        attach_policy if spec.evict_policy is not None else None))
 
     # -- node-crash fault process -------------------------------------------
-    crash_stop = {"flag": False}
     if (schedule is not None
             and schedule.config.node_crash_rate > 0):
         def crasher():
-            while not crash_stop["flag"]:
+            while fleet.running:
                 yield env.timeout(CRASH_CHECK_INTERVAL)
-                if crash_stop["flag"]:
+                if not fleet.running:
                     return
                 for cnode in gateway.routable_nodes():
                     if len(gateway.routable_nodes()) <= 1:
@@ -327,8 +271,6 @@ def run_cluster(spec, fault_config=None, fault_seed: int = 0,
     arrivals = poisson_arrivals(
         [(p, cspec.rate_per_function) for p in profiles],
         cspec.duration, seed=spec.input_seed, vary_inputs=spec.vary_inputs)
-    base = env.now
-    keepalive.horizon = base + cspec.duration
 
     def request(arrival):
         yield env.timeout(max(0.0, base + arrival.time - env.now))
@@ -337,12 +279,7 @@ def run_cluster(spec, fault_config=None, fault_seed: int = 0,
 
     processes = [env.process(request(a), name=f"creq-{i}")
                  for i, a in enumerate(arrivals)]
-    env.run(env.all_of(processes))
-    if autoscaler is not None:
-        autoscaler.stop()
-    crash_stop["flag"] = True
-    env.run()  # drain reapers, in-flight boots, final control ticks
-    gateway.finalize()
+    fleet.drain(env.all_of(processes))
 
     # Roll per-node degradation counters up into the cluster registry so
     # one text exposition shows fleet-wide node_* next to cluster_*.
@@ -355,6 +292,7 @@ def run_cluster(spec, fault_config=None, fault_seed: int = 0,
                                  + kernel.metrics.get(name).value)
         return out
 
+    registry = fleet.registry
     registry.register_collector(node_rollup)
 
     if snapstores:
@@ -393,9 +331,7 @@ def run_cluster(spec, fault_config=None, fault_seed: int = 0,
 
         registry.register_collector(snapstore_rollup)
 
-    if telemetry is not None:
-        telemetry.publish(sim_time=env.now, force=True,
-                          phase=f"cluster:{cspec.policy} done")
+    fleet.publish()
 
     return ClusterReport(
         policy=cspec.policy,

@@ -3,15 +3,17 @@
 Per-page simulation of 1M+ invocations is infeasible (each invocation
 is thousands of DES events), so the traffic plane runs at *modeled
 fidelity with measured constants*: ``calibrate_service_times`` first
-executes real page-level mini-runs — record phase, cold spawn + invoke
-after a cache drop, warm resume + invoke — for every function *shape* x
-the spec's restore approach, then :class:`TrafficNode` replays those
-measured service times per invocation.  Warm-pool bookkeeping,
-keep-alive/pre-warm policies, routing, autoscaling, and per-node
-concurrency limits all still run for real inside the DES, so the
-figure-level quantities (cold-start ratio, per-tenant tail latency,
-fleet size) emerge from the same control plane the small-scale cluster
-figure exercises — only the data plane inside one invocation is
+runs, for every function *shape* x the spec's restore approach, a
+one-function page-level :class:`~repro.platform.node.FaaSNode`'s record
+phase and its first two requests (a cold start after the record phase's
+cache drop, then a warm start on the sandbox it parked), then
+:class:`TrafficNode` replays those measured service times per
+invocation.  Warm-pool bookkeeping, keep-alive/pre-warm policies,
+routing, autoscaling, and per-node concurrency limits all still run for
+real inside the DES — the :class:`~repro.cluster.fleet.Fleet` build-out
+the page-level cluster figure runs too — so the figure-level quantities
+(cold-start ratio, per-tenant tail latency, fleet size) emerge from the
+same control plane; only the data plane inside one invocation is
 replaced by its measured cost.
 
 Scale: invocations stream lazily from
@@ -31,24 +33,16 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.baselines.base import approach_registry
-from repro.metrics.registry import Histogram, MetricsRegistry
+from repro.metrics.registry import Histogram
 from repro.metrics.results import ScenarioResult
-from repro.platform.node import WARM_RESUME_SECONDS, RequestResult
+from repro.platform.node import FaaSNode, RequestResult
 from repro.platform.workload import Arrival
 from repro.sim import Environment
 from repro.trace import Tracer
 from repro.workloads.profile import profile_by_name
-from repro.workloads.trace import generate_trace
 from repro.workloads.traffic import TrafficProcess
 
-from repro.cluster.autoscaler import ClusterAutoscaler
-from repro.cluster.gateway import BOOTING, UP, Gateway
-from repro.cluster.keepalive import make_keepalive_policy
-from repro.cluster.routing import make_routing_policy
-
-#: Tail percentiles the SLO summary reports per tenant.
-SLO_PERCENTILES = (99.0, 99.9)
+from repro.cluster.fleet import Fleet
 
 
 @dataclass(frozen=True)
@@ -66,52 +60,32 @@ def calibrate_service_times(approach_name: str, shapes: tuple[str, ...],
                             costs=None) -> dict[str, ServiceTimes]:
     """Measure cold/warm/prepare seconds per shape with real mini-runs.
 
-    Each shape gets a fresh private kernel (``ram_bytes`` applies as in
-    :func:`~repro.harness.experiment.make_kernel`): record phase
-    (prepare), a cache drop, one cold spawn+invoke, then one warm
-    resume+invoke on the same sandbox — the exact sequence a node's
-    first two requests for a function experience, measured in simulated
-    seconds.
+    Each shape gets a one-function :class:`~repro.platform.node.FaaSNode`
+    on a fresh private kernel (``ram_bytes`` applies as in
+    :func:`~repro.harness.experiment.make_kernel`).  Its record phase
+    (``prepare()``, which ends with a cache drop) is the prepare time;
+    its first two requests are the cold time (spawn + invoke) and the
+    warm time (resume + invoke of the sandbox the first one parked), in
+    simulated seconds.
     """
     from repro.harness.experiment import make_kernel
 
-    factory = approach_registry()[approach_name]
     out: dict[str, ServiceTimes] = {}
     for shape in shapes:
         kernel = make_kernel(device_kind, ram_bytes, costs)
         env = kernel.env
-        profile = profile_by_name(shape)
-        approach = factory(kernel)
-        trace = generate_trace(profile, 0)
-
-        start = env.now
-        env.run(env.process(approach.prepare(profile, trace),
-                            name=f"calib-prepare-{shape}"))
-        prepare = env.now - start
-        kernel.drop_caches()
-
-        holder: dict = {}
-
-        def cold_run():
-            vm = yield from approach.spawn(profile,
-                                           vm_id=f"calib-{shape}")
-            yield from vm.invoke(trace)
-            approach.post_invoke(vm)
-            holder["vm"] = vm
-
-        start = env.now
-        env.run(env.process(cold_run(), name=f"calib-cold-{shape}"))
-        cold = env.now - start
-
-        def warm_run():
-            yield env.timeout(WARM_RESUME_SECONDS)
-            yield from holder["vm"].invoke(trace)
-
-        start = env.now
-        env.run(env.process(warm_run(), name=f"calib-warm-{shape}"))
-        warm = env.now - start
-        holder["vm"].teardown()
-
+        # Any TTL keeps the cold start's sandbox for the warm request,
+        # which follows at once; draining the environment afterwards lets
+        # the reapers tear the sandbox down.
+        node = FaaSNode(kernel, approach_name, [profile_by_name(shape)],
+                        warm_pool_ttl=1.0)
+        env.run(env.process(node.prepare(), name=f"calib-prepare-{shape}"))
+        prepare = env.now  # a fresh host starts at time 0
+        cold, warm = (
+            env.run(env.process(node.handle(Arrival(env.now, shape, 0)),
+                                name=f"calib-{shape}")).latency
+            for _ in range(2))
+        env.run()
         out[shape] = ServiceTimes(cold=cold, warm=warm, prepare=prepare)
     return out
 
@@ -286,8 +260,6 @@ class TrafficReport:
     metrics: dict[str, float] = field(default_factory=dict)
     #: tenant id -> flat SLO floats (p99/p99.9 E2E + cold, ratio, count).
     slo: dict[int, dict[str, float]] = field(default_factory=dict)
-    start_time: float = 0.0
-    end_time: float = 0.0
     #: Fleet-wide tail estimates from the bounded histograms.
     p99_e2e: float = 0.0
     p999_e2e: float = 0.0
@@ -324,28 +296,19 @@ def run_traffic(spec, tracer: Tracer | None = None,
 
     traffic = TrafficProcess(tspec)
     shapes = {fn.name: fn.shape for fn in traffic.functions}
-    tenants = {fn.name: fn.tenant for fn in traffic.functions}
 
-    env = Environment()
-    if tracer is None:  # not ``or``: a Tracer with no spans is falsy
-        tracer = Tracer()
-    registry = MetricsRegistry()
-    policy = make_routing_policy(
-        cspec.policy, seed=spec.input_seed,
-        overflow_inflight=cspec.overflow_inflight)
-    gateway = Gateway(env, policy, registry=registry, tracer=tracer)
-    keepalive = make_keepalive_policy(
-        cspec.keepalive, warm_pool_ttl=cspec.warm_pool_ttl,
-        percentile=cspec.keepalive_percentile,
-        min_ttl=cspec.keepalive_min_ttl, max_ttl=cspec.keepalive_max_ttl,
-        min_samples=cspec.keepalive_min_samples, prewarm=cspec.prewarm)
+    t_requests = dict.fromkeys(range(tspec.n_tenants), 0)
+    if telemetry is not None:
+        telemetry.attach_tenant_counts(t_requests)
+    fleet = Fleet(spec, tracer=tracer, telemetry=telemetry)
+    env, gateway, keepalive = fleet.env, fleet.gateway, fleet.keepalive
+    registry = fleet.registry
     nodes: list[TrafficNode] = []
 
     # Per-tenant bounded accounting on the cluster registry.
     t_e2e: dict[int, Histogram] = {}
     t_cold_hist: dict[int, Histogram] = {}
-    t_requests: dict[int, int] = {}
-    t_cold: dict[int, int] = {}
+    t_cold = dict.fromkeys(range(tspec.n_tenants), 0)
     for tenant in range(tspec.n_tenants):
         t_e2e[tenant] = registry.histogram(
             f"traffic_tenant{tenant}_e2e_seconds",
@@ -353,19 +316,8 @@ def run_traffic(spec, tracer: Tracer | None = None,
         t_cold_hist[tenant] = registry.histogram(
             f"traffic_tenant{tenant}_cold_seconds",
             f"cold-start E2E latency, tenant {tenant}", base=1e-4)
-        t_requests[tenant] = 0
-        t_cold[tenant] = 0
     all_e2e = registry.histogram(
         "traffic_e2e_seconds", "E2E latency, all tenants", base=1e-4)
-
-    if telemetry is not None:
-        env.telemetry = telemetry
-        telemetry.attach_registry(registry)
-        telemetry.attach_tracer(tracer)
-        telemetry.attach_fleet_provider(gateway.topology)
-        telemetry.attach_engine(env)
-        telemetry.attach_tenant_counts(t_requests)
-        telemetry.flush(phase=f"traffic:{cspec.keepalive}")
 
     def build_node() -> TrafficNode:
         node = TrafficNode(env, shapes, times, keepalive,
@@ -373,31 +325,7 @@ def run_traffic(spec, tracer: Tracer | None = None,
         nodes.append(node)
         return node
 
-    def finish_boot(cnode) -> None:
-        gateway.mark(cnode, UP)
-
-    for _ in range(cspec.n_nodes):
-        cnode = gateway.add_node(build_node(), state=BOOTING)
-        env.run(env.process(cnode.node.prepare(),
-                            name=f"prepare-{cnode.name}"))
-        finish_boot(cnode)
-
-    autoscaler = None
-    if cspec.autoscale:
-        def spawn_node():
-            return gateway.add_node(build_node(), state=BOOTING)
-
-        autoscaler = ClusterAutoscaler(
-            env, gateway, spawn_node, on_node_ready=finish_boot,
-            target_inflight=cspec.target_inflight,
-            min_nodes=cspec.min_nodes, max_nodes=cspec.max_nodes,
-            scale_interval=cspec.scale_interval,
-            drain_idle_intervals=cspec.drain_idle_intervals,
-            node_boot_seconds=cspec.node_boot_seconds, tracer=tracer,
-            keepalive=keepalive)
-
-    base = env.now
-    keepalive.horizon = base + tspec.duration
+    base = fleet.stage(build_node)
     digest = hashlib.sha256()
     state = {"submitted": 0, "done": 0, "stream_done": False,
              "cold": 0, "timeouts": 0, "failures": 0, "reroutes": 0}
@@ -444,11 +372,7 @@ def run_traffic(spec, tracer: Tracer | None = None,
         check_done()
 
     env.process(driver(), name="traffic-driver")
-    env.run(all_done)
-    if autoscaler is not None:
-        autoscaler.stop()
-    env.run()  # drain reapers, pre-warms, in-flight boots
-    gateway.finalize()
+    fleet.drain(all_done)
 
     def node_rollup() -> dict[str, float]:
         return {
@@ -481,9 +405,7 @@ def run_traffic(spec, tracer: Tracer | None = None,
             "p999_cold": t_cold_hist[tenant].percentile(99.9),
         }
 
-    if telemetry is not None:
-        telemetry.publish(sim_time=env.now, force=True,
-                          phase=f"traffic:{cspec.keepalive} done")
+    fleet.publish()
 
     return TrafficReport(
         policy=cspec.policy,
@@ -501,7 +423,6 @@ def run_traffic(spec, tracer: Tracer | None = None,
         node_timeline=list(gateway.node_timeline),
         metrics=registry.snapshot(),
         slo=slo,
-        start_time=base, end_time=env.now,
         p99_e2e=all_e2e.percentile(99.0),
         p999_e2e=all_e2e.percentile(99.9))
 

@@ -17,8 +17,10 @@ The runtime's semantics:
   operand types, masks to 64 bits, and faults with a ``RuntimeFault``
   naming the violation;
 * helpers and kfuncs are resolved at compile (program-load) time; an
-  unknown helper id or an unregistered kfunc raises its error only when
-  execution reaches the call;
+  unknown helper id raises its error only when execution reaches the
+  call, and a kfunc unregistered at load time is looked up then (so one
+  registered since is called, and one still missing raises its
+  registry's error);
 * ``insn_count`` is the number of executed instructions, the quantity
   the kprobe path converts into simulated seconds;
 * the instruction budget is charged per basic block, at the block's
@@ -132,6 +134,18 @@ def _jmp_slow(dst: object) -> NoReturn:
     raise RuntimeFault("jump on non-scalar operands")
 
 
+def _late_kfunc(kfuncs: KfuncRegistry, name: str, *regs) -> int:
+    """A call to a kfunc that was unregistered at load time: resolve it
+    now, then check, call and mask exactly as an inline call does."""
+    spec = kfuncs.get(name)
+    args = regs[:spec.n_args]
+    for idx, arg in enumerate(args):
+        if not isinstance(arg, int):
+            raise RuntimeFault(f"kfunc {name}: arg{idx + 1} not scalar")
+    result = spec.func(*args)
+    return int(result) & U64_MASK if result is not None else 0
+
+
 #: Globals every generated closure runs against (plus its per-program
 #: constants).  ``exec`` copies this into each closure's namespace.
 _BASE_NAMESPACE = {
@@ -146,6 +160,7 @@ _BASE_NAMESPACE = {
     "_alu_slow": _alu_slow,
     "_jmp_slow": _jmp_slow,
     "_spec_for": H.spec_for,
+    "_late_kfunc": _late_kfunc,
 }
 
 _CMP = {
@@ -529,9 +544,11 @@ class _Codegen:
 
     def emit_kfunc(self, insn: CallKfunc, ind: int) -> None:
         if insn.name not in self.kfuncs:
-            # Resolution failed at load time; raise the registry's error
-            # only if execution reaches the call.
-            self.emit(ind, f"rt.kfuncs.get({insn.name!r})")
+            # Resolution failed at load time; resolve when execution
+            # reaches the call.
+            self.emit(ind, f"r0 = _late_kfunc(rt.kfuncs, {insn.name!r}, "
+                           "r1, r2, r3, r4, r5)")
+            self.emit(ind, "r1 = r2 = r3 = r4 = r5 = None")
             return
         spec = self.kfuncs.get(insn.name)
         kf = self.const("kf", spec)

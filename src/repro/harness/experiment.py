@@ -20,20 +20,26 @@ from repro.mm.kernel import Kernel
 from repro.sim import Environment
 from repro.storage.hdd import HDDevice
 from repro.storage.ssd import SSDevice
+from repro.trace import Tracer
 from repro.units import GIB, PAGE_SIZE
 from repro.workloads.profile import FunctionProfile
 from repro.workloads.trace import generate_trace
 
 
 def make_kernel(device_kind: str = "ssd", ram_bytes: int | None = None,
-                costs: CostModel | None = None) -> Kernel:
+                costs: CostModel | None = None, *,
+                env: Environment | None = None,
+                tracer: Tracer | None = None) -> Kernel:
     """Fresh host with the requested storage device.
 
     ``ram_bytes`` follows :attr:`ScenarioSpec.ram_bytes`: ``None`` keeps
     the 256 GiB pool with the pressure plane off; an int sizes the frame
     pool and enables watermarks + kswapd (a memory-pressure host).
+    A fleet's hosts share one ``env`` and one ``tracer``; by default the
+    host gets its own.
     """
-    env = Environment()
+    if env is None:
+        env = Environment()
     if device_kind == "ssd":
         device = SSDevice(env)
     elif device_kind == "hdd":
@@ -42,7 +48,7 @@ def make_kernel(device_kind: str = "ssd", ram_bytes: int | None = None,
         raise ValueError(f"unknown device kind {device_kind!r}")
     kernel = Kernel(env=env, device=device,
                     ram_bytes=256 * GIB if ram_bytes is None else ram_bytes,
-                    costs=costs)
+                    costs=costs, tracer=tracer)
     if ram_bytes is not None:
         kernel.reclaim.enable_watermarks()
     return kernel

@@ -16,7 +16,9 @@ array-map state machine the random space reaches only occasionally.
 So do small programs for every case the compiler emits inline:
 pointer ``add``/``sub``, the NULL check on a lookup result, and the map
 and buffer arguments of the map and ringbuf helpers, including the
-faults each must raise with the reference's message.
+faults each must raise with the reference's message.  A kfunc
+registered only after the program loaded is called alike, and checks
+its arguments alike.
 """
 
 import random
@@ -39,6 +41,7 @@ from repro.ebpf.asm import (
     alui,
     assemble,
     call,
+    call_kfunc,
     exit_,
     jcond,
     ldmap,
@@ -66,6 +69,7 @@ from repro.ebpf.insn import (
 from repro.ebpf.compile import CompileError
 from repro.ebpf.insn import R0, R1, R2, R3, R6, R10, U64_MASK
 from repro.ebpf.interp import Interpreter, RuntimeFault, pack_u64
+from repro.ebpf.kfunc import KfuncError
 from repro.ebpf.maps import ArrayMap, HashMap, RingBufMap
 from repro.ebpf.verifier import VerificationError, Verifier
 from tests.ebpf import reference_interp
@@ -386,3 +390,44 @@ def test_helper_buffer_arguments_in_bounds_equivalent(helper_id, map_name):
     source = [storei(R10, -16, 3), storei(R10, -8, 0x55),
               *_helper_call(helper_id, map_name, -16, value_off=-16)]
     assert _outcome(source) == ("ok", 0, len(source) + 1)
+
+
+def _late_kfunc_outcomes(set_r1, compiled: bool):
+    """Two runs of a call to ``late_fn``: unregistered when the program
+    loads and first runs, registered before the second run.  Returns
+    each run's outcome and the arguments ``late_fn`` was called with."""
+    program = assemble("late", [movi(R0, 5), set_r1,
+                                call_kfunc("late_fn"), exit_()])
+    interp = Interpreter()
+    run = _runner(interp, compiled)
+    calls = []
+    outcomes = []
+    for _ in range(2):
+        try:
+            result = run(program, b"", budget=BUDGET)
+        except (KfuncError, RuntimeFault) as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+        else:
+            outcomes.append(("ok", result.r0, result.insn_count))
+        if "late_fn" not in interp.kfuncs:
+            interp.kfuncs.register(
+                "late_fn", lambda x: calls.append(x) or 77, n_args=1)
+    return outcomes, calls
+
+
+def test_kfunc_registered_after_load_is_called_alike():
+    compiled = _late_kfunc_outcomes(movi(R1, 9), compiled=True)
+    assert compiled == _late_kfunc_outcomes(movi(R1, 9), compiled=False)
+    outcomes, calls = compiled
+    assert outcomes[0][0] == "KfuncError"
+    assert outcomes[1] == ("ok", 77, 4)
+    assert calls == [9]
+
+
+def test_kfunc_registered_after_load_checks_arguments_alike():
+    compiled = _late_kfunc_outcomes(mov(R1, R10), compiled=True)
+    assert compiled == _late_kfunc_outcomes(mov(R1, R10), compiled=False)
+    outcomes, calls = compiled
+    assert outcomes[0][0] == "KfuncError"
+    assert outcomes[1] == ("RuntimeFault", "kfunc late_fn: arg1 not scalar")
+    assert calls == []

@@ -21,14 +21,22 @@ One small cell per fault path:
   verdicts, vetoes, candidates parked until the sort);
 * linux-ra x2 remote: snapshot chunks staged from the remote tier.
 
-Two more cells pin the fleet path, which the page-level cells never
+Three more cells pin the fleet path, which the page-level cells never
 reach:
 
 * traffic: gateway, snapshot-locality routing with overflow, histogram
   keep-alive with pre-warm, autoscaling up and down, and the seeded
   arrival stream (calibration included);
 * cluster x2: the page-level fleet (two kernels in one environment)
-  behind the same gateway.
+  behind the same gateway;
+* cluster autoscale store: a page-level fleet that boots a node through
+  the autoscaler, attaches an eviction policy on every boot, shares
+  one snapshot store across nodes and runs kswapd on each node.
+
+Two fleet paths are pinned outside ``run_scenario``: the node crasher
+(the fault plane's ``FaultConfig`` passed to ``run_cluster``), by its
+report's fingerprint, and the service times ``calibrate_service_times``
+measures for every approach, bit for bit.
 
 A pin changes only with a declared model change, which re-derives it
 from ``run_scenario`` output.
@@ -46,7 +54,11 @@ import hashlib
 import pytest
 
 from repro import ScenarioSpec, run_scenario
+from repro.baselines.base import approach_registry
+from repro.cluster.runner import run_cluster
 from repro.cluster.spec import ClusterSpec
+from repro.cluster.traffic import calibrate_service_times
+from repro.faults import FaultConfig
 from repro.harness.experiment import make_kernel
 from repro.harness.figures import pressure_ram_bytes
 from repro.sim import Environment
@@ -139,15 +151,76 @@ FLEET_SPECS = {
     "cluster x2": ScenarioSpec(SMALL, "snapbpf", cluster=ClusterSpec(
         n_nodes=2, n_functions=3, duration=3.0, rate_per_function=2.0,
         overflow_inflight=1)),
+    # 1 scale-up and 1 scale-down; the policy attaches on both boots,
+    # kswapd reclaims 2300 pages in 78 wakeups, 109 chunks stage.
+    "cluster autoscale store": ScenarioSpec(
+        SMALL, "snapbpf", ram_bytes=52 * MIB, evict_policy="protect-head",
+        snapstore=SnapStoreSpec(placement="base-local"),
+        cluster=ClusterSpec(
+            n_nodes=1, n_functions=3, duration=3.0, rate_per_function=3.0,
+            autoscale=True, min_nodes=1, max_nodes=3, target_inflight=0.5,
+            scale_interval=0.25, drain_idle_intervals=2,
+            node_boot_seconds=0.1, keepalive="histogram",
+            keepalive_min_samples=2, keepalive_min_ttl=0.05)),
 }
 
 FLEET_PINS = {
+    # The count includes calibration's: a FaaSNode's record phase and
+    # its first two requests, each an attempt process that parks its
+    # sandbox with a reaper, then the two reapers firing.
     "traffic": (
         "212a2665f0f2e5b07a19126912637080f763adb56f32f709170fe7854377991c",
-        84815),
+        84825),
     "cluster x2": (
         "543ac9541a4d37c5bebb24843ff71a9f3cbf22696330d1968b21b028929e9f6f",
         150731),
+    "cluster autoscale store": (
+        "3240c7218181e8c9a14053d78daf726df71fda1fc4359009fba2ff32ed97395b",
+        162149),
+}
+
+#: Long requests on three nodes keep work in flight for the crasher:
+#: 2 crashes, 2 reroutes.
+CRASH_SPEC = ScenarioSpec(
+    FunctionProfile(name="tiny", mem_bytes=48 * MIB, ws_bytes=4 * MIB,
+                    alloc_bytes=2 * MIB, compute_seconds=0.25,
+                    run_len_mean=8.0, seed=31),
+    "snapbpf", cluster=ClusterSpec(
+        n_nodes=3, n_functions=2, rate_per_function=4.0, duration=3.0,
+        warm_pool_ttl=1.0))
+
+#: sha256 of ClusterReport.fingerprint(), DES events processed.
+CRASH_PIN = (
+    "18bdd90930137ac24a20bec59c455d1bfdb388785ac5707507cddc9c9b47400d",
+    70617)
+
+#: (approach, ram_bytes) -> json's calibrated (cold, warm, prepare)
+#: seconds as float.hex.  A 48 MiB pool squeezes snapbpf's cold start.
+CALIBRATION_PINS = {
+    ("faasnap", None): (
+        "0x1.4840cb2a84460p-3", "0x1.9b3d07c84b670p-4",
+        "0x1.270bdd4433283p+0"),
+    ("reap", None): (
+        "0x1.080b93dfafab0p-3", "0x1.9b3d07c84b670p-4",
+        "0x1.34e66fcc60c29p+0"),
+    ("faast", None): (
+        "0x1.2ad6441ca4dd8p-3", "0x1.9b3d07c84b670p-4",
+        "0x1.e42548fe3f60ep-1"),
+    ("linux-nora", None): (
+        "0x1.26b610331dd71p+0", "0x1.9b3d07c84b670p-4", "0x0.0p+0"),
+    ("linux-ra", None): (
+        "0x1.09eedde6eb46ep-1", "0x1.9b3d07c84b670p-4", "0x0.0p+0"),
+    ("snapbpf", None): (
+        "0x1.0b87b941f6344p-3", "0x1.9b3d07c84b670p-4",
+        "0x1.c62c56b0fc617p-1"),
+    ("pv-ptes", None): (
+        "0x1.e9377cef76a7dp-2", "0x1.9b3d07c84b674p-4", "0x0.0p+0"),
+    ("reap", 48 * MIB): (
+        "0x1.080b93dfafab0p-3", "0x1.9b3d07c84b670p-4",
+        "0x1.34e66fcc60c29p+0"),
+    ("snapbpf", 48 * MIB): (
+        "0x1.9d8fd98217734p-3", "0x1.9b3d07c84b670p-4",
+        "0x1.c62c56b0fc617p-1"),
 }
 
 
@@ -187,3 +260,24 @@ def test_fleet_result_digest(label, environments):
     digest = hashlib.sha256(result.to_json().encode()).hexdigest()
     events = sum(env.events_processed for env in environments)
     assert (digest, events) == FLEET_PINS[label]
+
+
+def test_node_crash_fleet_digest(environments):
+    report = run_cluster(CRASH_SPEC, fault_config=FaultConfig(
+        node_crash_rate=0.1), fault_seed=1)
+    digest = hashlib.sha256(report.fingerprint().encode()).hexdigest()
+    events = sum(env.events_processed for env in environments)
+    assert (digest, events) == CRASH_PIN
+
+
+def test_calibration_pins_cover_every_approach():
+    assert ({approach for approach, ram in CALIBRATION_PINS if ram is None}
+            == set(approach_registry()))
+
+
+@pytest.mark.parametrize("approach, ram_bytes", list(CALIBRATION_PINS))
+def test_calibrated_service_times(approach, ram_bytes):
+    times = calibrate_service_times(approach, ("json",),
+                                    ram_bytes=ram_bytes)["json"]
+    assert ((times.cold.hex(), times.warm.hex(), times.prepare.hex())
+            == CALIBRATION_PINS[approach, ram_bytes])

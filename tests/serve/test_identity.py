@@ -9,13 +9,16 @@ import json
 
 from repro.cluster import ClusterSpec
 from repro.cluster.runner import run_cluster
+from repro.cluster.traffic import run_traffic
 from repro.faults import ChaosSpec
 from repro.harness.experiment import ResultCache
 from repro.harness.spec import ScenarioSpec
 from repro.harness.sweep import SweepRunner
 from repro.serve import TelemetryHub
+from repro.snapstore.spec import SnapStoreSpec
 from repro.units import MIB
-from repro.workloads.profile import FunctionProfile
+from repro.workloads.profile import FunctionProfile, profile_by_name
+from repro.workloads.traffic import TrafficSpec
 
 
 def tiny_profile(name="tiny", seed=31):
@@ -29,12 +32,22 @@ def scenario_spec(approach="snapbpf"):
                         n_instances=2)
 
 
-def cluster_spec():
+def cluster_spec(snapstore=None):
     return ScenarioSpec(
-        function=tiny_profile(), approach="snapbpf",
+        function=tiny_profile(), approach="snapbpf", snapstore=snapstore,
         cluster=ClusterSpec(n_nodes=2, n_functions=2,
                             rate_per_function=2.0, duration=2.0,
                             warm_pool_ttl=1.0))
+
+
+def traffic_spec():
+    return ScenarioSpec(
+        function=profile_by_name("json"), approach="snapbpf",
+        cluster=ClusterSpec(
+            n_nodes=2, keepalive="histogram",
+            traffic=TrafficSpec(n_functions=20, n_tenants=2,
+                                total_rps=10.0, duration=4.0, n_bursts=1,
+                                shapes=("json",), seed=5)))
 
 
 def result_bytes(result) -> bytes:
@@ -60,6 +73,26 @@ class TestIdentity:
         assert plain.fingerprint() == observed.fingerprint()
         assert hub.version > 0
         assert hub.state()["fleet"]["nodes"]  # topology was published
+
+    def test_traffic_fingerprint_identical_with_and_without_hub(self):
+        plain = run_traffic(traffic_spec())
+        hub = TelemetryHub(sim_interval=0.05, wall_interval=0.0)
+        observed = run_traffic(traffic_spec(), telemetry=hub)
+        assert plain.fingerprint() == observed.fingerprint()
+        state = hub.state()
+        assert len(state["fleet"]["nodes"]) == 2
+        assert state["throughput"]["tenants"] == {"0": 13.0, "1": 86.0}
+
+    def test_snapstore_cluster_fingerprint_identical_with_and_without_hub(
+            self):
+        spec = cluster_spec(snapstore=SnapStoreSpec(placement="base-local"))
+        plain = run_cluster(spec)
+        hub = TelemetryHub(sim_interval=0.05, wall_interval=0.0)
+        observed = run_cluster(spec, telemetry=hub)
+        assert plain.fingerprint() == observed.fingerprint()
+        snapstore = hub.state()["snapstore"]
+        assert len(snapstore["nodes"]) == 2  # one entry per node
+        assert round(snapstore["dedup_factor"], 2) == 3.62
 
     def test_chaos_fingerprints_identical_with_and_without_hub(self):
         specs = [ScenarioSpec(function=tiny_profile(), approach=approach,
