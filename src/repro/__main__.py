@@ -7,18 +7,22 @@ Commands:
                                on watermark reclaim; --evict-policy
                                attaches a BPF eviction policy)
   table1                       regenerate the paper's Table 1
-  fig {3a,3b,3c,4,overheads,mem,cluster,traffic,storage}
-                               regenerate one figure (or --all), sweeping
-                               the scenario matrix across --jobs workers:
-                               "mem" is the memory-pressure elasticity
-                               figure, "cluster" routing policies x fleet
-                               sizes, "traffic" restore approaches x
-                               keep-alive policies under Zipf/diurnal/
-                               burst multi-tenant load (plus per-tenant
-                               SLO tables), and "storage" snapshot tier
+  fig NAME                     regenerate one figure (or --all), sweeping
+                               the scenario matrix across --jobs workers,
+                               and exit 1 if the table breaks one of the
+                               paper's claims about it: the paper's 3a,
+                               3b, 3c, 4 and overheads; "mem", the
+                               memory-pressure elasticity figure;
+                               "cluster" routing policies x fleet sizes,
+                               "traffic" restore approaches x keep-alive
+                               policies under Zipf/diurnal/burst
+                               multi-tenant load (plus per-tenant SLO
+                               tables), and "storage" snapshot tier
                                configurations x routing policies (plus
-                               dedup and bytes per tier); --quick shrinks
-                               the last three to CI size
+                               dedup and bytes per tier), which --quick
+                               shrinks to CI size; and the ablations
+                               readahead, coalescing, kvm-cow, device,
+                               input-variation and cost-model
   chaos FN [APPROACH ...]      serve a request train under a seeded fault
                                schedule; report degradation counters
   trace FN APPROACH            run one scenario with span tracing on and
@@ -75,6 +79,7 @@ Examples:
   python -m repro fig cluster --jobs 4 --cache-dir .sweep-cache
   python -m repro fig traffic --quick --jobs 2
   python -m repro fig storage --jobs 4 --cache-dir .sweep-cache
+  python -m repro fig kvm-cow --jobs 2
   python -m repro fig --all --serve --serve-port 8040
   python -m repro fig --all --serve-state /tmp/repro-state.json &
   python -m repro serve --attach /tmp/repro-state.json --port 8040
@@ -267,6 +272,7 @@ def cmd_fig(args) -> int:
         return 2
     functions = args.functions.split(",") if args.functions else None
     opts, runner, serving = _sweep_context(args)
+    failed = []
     try:
         _sweep(runner, F.matrix_specs(figures, functions, args.quick), opts)
         if runner.last_manifest:
@@ -277,10 +283,14 @@ def cmd_fig(args) -> int:
             data = F.build_figure(figure, runner.cache, functions=functions,
                                   quick=args.quick)
             print("\n".join([render_figure(data), *data.summary]))
+            failed += [f"figure {figure}: {text}"
+                       for text in data.failed_claims]
     finally:
         serving.finish()
     print(runner.last_stats.summary(), file=sys.stderr)
-    return 0
+    for claim in failed:
+        print(f"claim failed: {claim}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_chaos(args) -> int:

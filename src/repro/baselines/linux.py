@@ -2,22 +2,24 @@
 
 No working-set capture at all — the Figure 3b/3c baselines.  The only
 knob is Linux readahead on the snapshot mapping: disabled (Linux-NoRA,
-one synchronous 4 KiB read per major fault) or the kernel default 128 KiB
-window (Linux-RA).  Because faults resolve through the page cache, these
-baselines *do* deduplicate across sandboxes — they are just slow, paying
-a blocking fault chain for the whole working set.
+one synchronous 4 KiB read per major fault) or a window of ``ra_pages``
+pages, by default the kernel's 128 KiB (Linux-RA).  Because faults
+resolve through the page cache, these baselines *do* deduplicate across
+sandboxes — they are just slow, paying a blocking fault chain for the
+whole working set.
 """
 
 from __future__ import annotations
 
 from repro.baselines.base import Approach, register_approach
+from repro.mm.kernel import Kernel
 from repro.units import DEFAULT_READAHEAD_PAGES
 from repro.vmm.microvm import GUEST_BASE_VPN, MicroVM
 from repro.workloads.profile import FunctionProfile
 
 
 class _LinuxBase(Approach):
-    """Shared restore path; subclasses pick the readahead window."""
+    """Shared restore path over a readahead window of ``ra_pages``."""
 
     mechanism = "mmap / demand paging"
     serializes_ws_on_disk = False
@@ -25,10 +27,14 @@ class _LinuxBase(Approach):
     stateless_alloc_filtering = False
     requires_snapshot_prescan = False
 
-    ra_pages: int = DEFAULT_READAHEAD_PAGES
     #: PV PTE marking off for the vanilla baselines (overridden by the
     #: SnapBPF breakdown variant in repro.core).
     pv_marking: bool = False
+
+    def __init__(self, kernel: Kernel,
+                 ra_pages: int = DEFAULT_READAHEAD_PAGES):
+        super().__init__(kernel)
+        self.ra_pages = ra_pages
 
     def spawn(self, profile: FunctionProfile, vm_id: str | None = None):
         snapshot = self._require_prepared()
@@ -50,12 +56,13 @@ class LinuxNoRA(_LinuxBase):
     """Vanilla restore with readahead disabled."""
 
     name = "linux-nora"
-    ra_pages = 0
+
+    def __init__(self, kernel: Kernel):
+        super().__init__(kernel, ra_pages=0)
 
 
 @register_approach
 class LinuxRA(_LinuxBase):
-    """Vanilla restore with the default 128 KiB readahead window."""
+    """Vanilla restore with a readahead window, by default 128 KiB."""
 
     name = "linux-ra"
-    ra_pages = DEFAULT_READAHEAD_PAGES

@@ -9,8 +9,6 @@ inputs) and measure per-sandbox E2E latency and system-wide peak memory.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.baselines.base import Approach, approach_registry
 from repro.harness.spec import ScenarioSpec, stable_hash
 from repro.metrics.registry import MetricsRegistry
@@ -22,7 +20,6 @@ from repro.storage.hdd import HDDevice
 from repro.storage.ssd import SSDevice
 from repro.trace import Tracer
 from repro.units import GIB, PAGE_SIZE
-from repro.workloads.profile import FunctionProfile
 from repro.workloads.trace import generate_trace
 
 
@@ -55,23 +52,18 @@ def make_kernel(device_kind: str = "ssd", ram_bytes: int | None = None,
 
 
 def run_scenario(spec: ScenarioSpec, *,
-                 kernel: Kernel | None = None,
-                 approach_factory: Callable[[Kernel], Approach]
-                 | None = None) -> ScenarioResult:
+                 kernel: Kernel | None = None) -> ScenarioResult:
     """Run one scenario described by a :class:`ScenarioSpec`.
 
     ``run_scenario(spec)`` is the only entrypoint; the historic
     ``run_scenario(profile, approach, n_instances=..., ...)`` kwargs
-    form is gone.  Two keyword-only escape hatches cover what a
-    hashable spec cannot express:
-
-    * ``kernel`` — a pre-built (typically instrumented) host to run on
-      instead of a fresh default one; unusable with cluster specs.
-    * ``approach_factory`` — a callable ``kernel -> Approach`` used in
-      place of the registry lookup of ``spec.approach``, for ablation
-      variants that are not registered.  The spec's ``approach`` string
-      still labels the run; such runs must not be cached by spec (the
-      spec alone no longer determines the outcome).
+    form is gone.  The approach is ``spec.approach``'s registry class,
+    constructed with ``spec.approach_params`` (the readahead window,
+    FaaSnap's coalescing gap, the KVM CoW patch), so every variant is
+    a hashable, cacheable spec.  One keyword-only escape hatch covers
+    what a spec cannot express: ``kernel``, a pre-built (typically
+    instrumented) host to run on instead of a fresh default one;
+    unusable with cluster and chaos specs.
 
     ``spec.vary_inputs`` gives every concurrent instance a *different*
     input (trace seed), instead of the paper's identical-inputs setup —
@@ -84,13 +76,10 @@ def run_scenario(spec: ScenarioSpec, *,
             f"got {type(spec).__name__}; the legacy (profile, approach) "
             f"kwargs form was removed")
     if spec.cluster is not None or spec.chaos is not None:
-        plane = "cluster" if spec.cluster is not None else "chaos"
         if kernel is not None:
+            plane = "cluster" if spec.cluster is not None else "chaos"
             raise TypeError(f"{plane} scenarios build their own hosts; "
                             f"the kernel argument is not usable")
-        if approach_factory is not None:
-            raise TypeError(f"{plane} scenarios resolve approaches by "
-                            f"name; approach_factory is not usable")
         # Deferred imports: both runners compose the platform stack on
         # top of this module's layer.
         if spec.chaos is not None:
@@ -98,37 +87,22 @@ def run_scenario(spec: ScenarioSpec, *,
             return run_chaos_scenario(spec)
         from repro.cluster.runner import run_cluster_scenario
         return run_cluster_scenario(spec)
-    return _run_scenario(spec.function,
-                         (approach_factory if approach_factory is not None
-                          else spec.approach),
-                         spec.n_instances, spec.input_seed,
-                         spec.vary_inputs, spec.device_kind,
-                         spec.costs, kernel,
-                         ram_bytes=spec.ram_bytes,
-                         evict_policy=spec.evict_policy,
-                         snapstore_spec=spec.snapstore)
+    return _run_scenario(spec, kernel)
 
 
-def _run_scenario(profile: FunctionProfile,
-                  approach_factory: Callable[[Kernel], Approach] | str,
-                  n_instances: int,
-                  input_seed: int,
-                  vary_inputs: bool,
-                  device_kind: str,
-                  costs: CostModel | None,
-                  kernel: Kernel | None,
-                  ram_bytes: int | None = None,
-                  evict_policy: str | None = None,
-                  snapstore_spec=None) -> ScenarioResult:
-    if isinstance(approach_factory, str):
-        approach_factory = approach_registry()[approach_factory]
+def _run_scenario(spec: ScenarioSpec,
+                  kernel: Kernel | None) -> ScenarioResult:
+    profile = spec.function
+    n_instances = spec.n_instances
+    input_seed = spec.input_seed
     if kernel is None:
-        kernel = make_kernel(device_kind, ram_bytes, costs)
-    if snapstore_spec is not None and kernel.snapstore is None:
+        kernel = make_kernel(spec.device_kind, spec.ram_bytes, spec.costs)
+    if spec.snapstore is not None and kernel.snapstore is None:
         from repro.snapstore import install_snapstore
-        install_snapstore(kernel, snapstore_spec)
+        install_snapstore(kernel, spec.snapstore)
     env = kernel.env
-    approach = approach_factory(kernel)
+    approach = approach_registry()[spec.approach](
+        kernel, **dict(spec.approach_params))
     trace = generate_trace(profile, input_seed)
 
     # -- offline record phase -----------------------------------------------------
@@ -147,9 +121,9 @@ def _run_scenario(profile: FunctionProfile,
     kernel.device.reset_stats()
     kernel.frames.reset_peak()
     kernel.reclaim.eviction_log.clear()
-    if evict_policy is not None:
+    if spec.evict_policy is not None:
         from repro.core.policies import attach_evict_policy
-        attach_evict_policy(kernel, evict_policy)
+        attach_evict_policy(kernel, spec.evict_policy)
     cache_adds_before = kernel.page_cache.stats.adds
     hook_seconds_before = kernel.page_cache.stats.bpf_hook_seconds
 
@@ -161,7 +135,7 @@ def _run_scenario(profile: FunctionProfile,
         vm = yield from approach.spawn(profile, vm_id=f"vm{index}")
         vms.append(vm)
         instance_trace = trace
-        if vary_inputs and index > 0:
+        if spec.vary_inputs and index > 0:
             instance_trace = generate_trace(profile, input_seed + index)
         stats = yield from vm.invoke(instance_trace)
         tracer = env.tracer
@@ -224,7 +198,8 @@ def _run_scenario(profile: FunctionProfile,
 
 
 def _collect_extras(approach: Approach, result: ScenarioResult) -> None:
-    """Approach-specific metrics surfaced to the ablation benches."""
+    """Approach-specific metrics surfaced as result extras (the ablation
+    figures read them)."""
     for attr, key in (
         ("working_set_pages", "ws_pages"),
         ("ws_file_pages", "ws_file_pages"),

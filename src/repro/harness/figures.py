@@ -2,25 +2,29 @@
 
 Each figure is one :class:`Figure` record in :data:`REGISTRY`: its
 columns and row axes, the one function that names the scenario behind
-each table cell, the value it plots, and optionally a per-cell summary
-and a CI-sized ``quick`` variant.  :func:`figure_specs` (what a sweep
-runs) and :func:`build_figure` (what the table reads) walk the same
-record, so they cannot disagree about which cells exist.  A shared
+each table cell, the value it plots, the paper's claims about it, and
+optionally a per-cell summary and a CI-sized ``quick`` variant.
+:func:`figure_specs` (what a sweep runs) and :func:`build_figure` (what
+the table reads, and which claims it breaks) walk the same record, so
+they cannot disagree about which cells exist.  A shared
 :class:`~repro.harness.experiment.ResultCache` lets Figure 3b and 3c
 reuse the same concurrent runs, exactly as the paper measures latency
-and memory from one experiment.
+and memory from one experiment; the ablations' default settings are
+the paper figures' own cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import product
+from itertools import pairwise, product
+from statistics import fmean
 from typing import Callable
 
 from repro.baselines.base import approach_registry
 from repro.cluster.spec import ClusterSpec
 from repro.harness.experiment import ResultCache
+from repro.mm.costs import CostModel
 from repro.snapstore.spec import SnapStoreSpec
 from repro.workloads.traffic import TrafficSpec
 from repro.harness.spec import ScenarioSpec
@@ -205,6 +209,8 @@ class FigureData:
     notes: str = ""
     #: Per-cell text printed after the table (traffic, storage).
     summary: list[str] = field(default_factory=list)
+    #: The text of every claim the table breaks.
+    failed_claims: list[str] = field(default_factory=list)
 
     def value(self, function: str, series: str) -> float:
         return self.series[series][self.functions.index(function)]
@@ -226,6 +232,30 @@ def _profiles(functions, default=FUNCTIONS) -> list[FunctionProfile]:
 
 def _profile_name(profile: FunctionProfile, *_point) -> str:
     return profile.name
+
+
+@dataclass(frozen=True)
+class Claim:
+    """A shape the paper reports that a figure's table must show.
+
+    ``holds(value, functions)`` reads the printed table through
+    ``value(function, column, *row)`` for the build's base functions,
+    where ``row`` is what the figure's ``label`` reads after the profile:
+    nothing for one row per function, ``(*point, metric)`` otherwise.
+    A claim that names ``functions`` is about those only: it reads the
+    ones the build has, and none when it has none of them.
+    """
+
+    text: str
+    holds: Callable[..., bool]
+    functions: tuple[str, ...] | None = None
+
+
+def _each(holds: Callable[..., bool]) -> Callable[..., bool]:
+    """A claim that holds for every function on its own: ``holds(value)``
+    with ``value(column, *row)`` reading one function's rows."""
+    return lambda value, functions: all(
+        holds(partial(value, function)) for function in functions)
 
 
 @dataclass(frozen=True)
@@ -264,6 +294,9 @@ class Figure:
     base_functions: tuple = FUNCTIONS
     #: Field overrides for the CI-sized variant (None: same as full).
     quick: dict | None = None
+    #: What the paper says the table shows; ``fig`` exits 1 when a
+    #: build breaks one.
+    claims: tuple[Claim, ...] = ()
 
 
 def _single(profile: FunctionProfile, approach: str) -> ScenarioSpec:
@@ -345,38 +378,148 @@ def _storage_summary(spec: ScenarioSpec, result, tier: str,
             f"remote fetched {fetched / MIB:.0f} MiB")
 
 
+#: The ablations' rows: label and the result value it prints.
+_E2E = ("E2E (s)", lambda result: result.mean_e2e)
+_READ_MIB = ("bytes read (MiB)",
+             lambda result: result.device_bytes_read / MIB)
+_REQUESTS = ("I/O requests", lambda result: result.device_requests)
+_PEAK_GIB = ("peak memory (GiB)",
+             lambda result: result.peak_memory_bytes / GIB)
+_REGIONS = ("regions", lambda result: result.extra["region_count"])
+_INFLATION = ("inflation", lambda result: result.extra["inflation_ratio"])
+
+
+def _read(result, _column, metric) -> float:
+    return metric[1](result)
+
+
+def _metric_label(profile: FunctionProfile, *point_metric) -> str:
+    *point, metric = point_metric
+    return " ".join([profile.name, *point, metric[0]])
+
+
+#: A4: Linux-RA readahead windows in pages; 32 is the kernel's 128 KiB
+#: default (Fig. 4's Linux-RA cell).
+RA_WINDOWS = (0, 8, 32, 128, 256)
+
+
+def _readahead_cell(profile: FunctionProfile, column) -> ScenarioSpec:
+    if column == "snapbpf":
+        return ScenarioSpec(profile, "snapbpf")
+    return ScenarioSpec(profile, "linux-ra",
+                        approach_params={"ra_pages": column})
+
+
+#: A2: FaaSnap's coalescing gap in pages; 16 is its default (Fig. 3a's
+#: FaaSnap cell).
+GAP_THRESHOLDS = (0, 4, 16, 64, 256)
+
+
+def _bpf_costs_scaled(factor: float) -> CostModel:
+    """The calibrated cost model with only SnapBPF's own eBPF costs (map
+    updates and lookups, program attach) scaled."""
+    base = CostModel()
+    return replace(base, bpf_map_update=base.bpf_map_update * factor,
+                   bpf_map_lookup=base.bpf_map_lookup * factor,
+                   bpf_prog_attach=base.bpf_prog_attach * factor)
+
+
+#: X2's columns: approach and cost model (``None``: the calibrated one,
+#: Fig. 3a's cells).
+COST_COLUMNS = {
+    "snapbpf 1x": ("snapbpf", None),
+    "snapbpf bpf 10x": ("snapbpf", _bpf_costs_scaled(10.0)),
+    "snapbpf cpu 4x": ("snapbpf", CostModel().scaled(4.0)),
+    "reap 1x": ("reap", None),
+    "reap cpu 4x": ("reap", CostModel().scaled(4.0)),
+}
+
+
+def _cost_cell(profile: FunctionProfile, column: str) -> ScenarioSpec:
+    approach, costs = COST_COLUMNS[column]
+    return ScenarioSpec(profile, approach, costs=costs)
+
+
 #: Every figure, in ``fig --all`` order.
 REGISTRY: dict[str, Figure] = {
     # Fig. 3a: single-instance E2E latency.
     "3a": Figure(
         "E2E latency (s)", ("reap", "faasnap", "snapbpf"),
-        cell=_single, value=_e2e),
+        cell=_single, value=_e2e,
+        claims=(
+            Claim("SnapBPF within 10 % of REAP",
+                  _each(lambda v: v("snapbpf") < 1.10 * v("reap"))),
+            Claim("SnapBPF within 15 % of FaaSnap",
+                  _each(lambda v: v("snapbpf") < 1.15 * v("faasnap"))),
+            Claim("SnapBPF beats REAP on large working sets",
+                  _each(lambda v: v("snapbpf") < v("reap")),
+                  functions=("recognition", "rnn", "bfs", "bert")))),
     # Fig. 3b: E2E latency of concurrent instances, normalized.
     "3b": Figure(
         "E2E latency (normalized to Linux-NoRA)",
         ("linux-nora", "linux-ra", "reap", "snapbpf"),
         cell=_concurrent, value=_e2e, normalize="linux-nora",
         notes=f"{CONCURRENT_INSTANCES} concurrent instances, "
-              f"identical inputs"),
+              f"identical inputs",
+        claims=(
+            Claim("SnapBPF beats Linux-NoRA",
+                  _each(lambda v: v("snapbpf") < v("linux-nora") == 1.0)),
+            Claim("SnapBPF beats Linux-RA",
+                  _each(lambda v: v("snapbpf") < v("linux-ra"))),
+            Claim("SnapBPF beats REAP",
+                  _each(lambda v: v("snapbpf") < v("reap"))),
+            Claim("REAP over 4x slower than SnapBPF (paper: 8x)",
+                  _each(lambda v: v("reap") / v("snapbpf") > 4.0),
+                  functions=("bert",)))),
     # Fig. 3c: system-wide memory of the same runs as 3b.
     "3c": Figure(
         "Memory consumption (GiB)",
         ("linux-nora", "linux-ra", "reap", "snapbpf"),
         cell=_concurrent,
         value=lambda result, _c, _m: result.peak_memory_bytes / GIB,
-        notes=f"{CONCURRENT_INSTANCES} concurrent instances"),
+        notes=f"{CONCURRENT_INSTANCES} concurrent instances",
+        claims=(
+            Claim("SnapBPF needs less memory than REAP",
+                  _each(lambda v: v("snapbpf") < v("reap"))),
+            Claim("REAP needs over 3.5x SnapBPF's memory",
+                  _each(lambda v: v("reap") / v("snapbpf") > 3.5),
+                  functions=("bfs", "bert")))),
     # Fig. 4: PV PTE marking alone vs full SnapBPF (PV + eBPF prefetch).
     "4": Figure(
         "Normalized E2E latency (Linux-RA = 1.0)",
         ("linux-ra", "pv-ptes", "snapbpf"),
         cell=_single, value=_e2e, normalize="linux-ra",
-        notes="single instance; lower is better"),
+        notes="single instance; lower is better",
+        claims=(
+            Claim("normalized to Linux-RA",
+                  _each(lambda v: v("linux-ra") == 1.0)),
+            Claim("PV PTE marking alone never hurts",
+                  _each(lambda v: v("pv-ptes") <= 1.02)),
+            Claim("eBPF prefetch only adds to PV PTE marking",
+                  _each(lambda v: v("snapbpf") <= v("pv-ptes") + 0.02)),
+            Claim("PV PTE marking alone over 2x faster",
+                  _each(lambda v: v("pv-ptes") < 0.55),
+                  functions=("image",)),
+            Claim("PV PTE marking alone helps little",
+                  _each(lambda v: v("pv-ptes") > 0.85),
+                  functions=("rnn", "bert")),
+            Claim("eBPF prefetch is the dominant factor",
+                  _each(lambda v: v("snapbpf") < 0.6),
+                  functions=("rnn", "bert")))),
     # §4 'SnapBPF Overheads': the offset load of single-instance SnapBPF.
     "overheads": Figure(
         "offset-load latency", ("map_load_ms", "fraction_of_e2e"),
         cell=lambda profile, _column: _single(profile, "snapbpf"),
         value=_map_load,
-        notes="map-load ms and fraction of E2E; paper: ~1-2 ms, <1%"),
+        notes="map-load ms and fraction of E2E; paper: ~1-2 ms, <1%",
+        claims=(
+            Claim("offset load under 1 % of E2E on average",
+                  lambda v, functions: fmean(
+                      v(f, "fraction_of_e2e") for f in functions) < 0.01),
+            Claim("offset load under 5 ms",
+                  _each(lambda v: v("map_load_ms") < 5.0)),
+            Claim("offset load is charged",
+                  _each(lambda v: v("map_load_ms") > 0.0)))),
     # Memory-pressure elasticity (Fig. 3c's dynamic claim): one series
     # per approach x headroom g, the pool sized by pressure_ram_bytes.
     # File series deflate with g; uffd anonymous frames cannot be shed.
@@ -431,6 +574,135 @@ REGISTRY: dict[str, Figure] = {
         quick=dict(axes=(("flat", "local", "remote"), STORAGE_POLICIES),
                    cell=partial(storage_cell_spec, n_nodes=2,
                                 **storage_cluster_kwargs(quick=True)))),
+    # A4 (§4 methodology): no static readahead window competes with
+    # working-set-aware prefetching.
+    "readahead": Figure(
+        "E2E (s) / bytes read (MiB) / I/O requests",
+        (*RA_WINDOWS, "snapbpf"), cell=_readahead_cell, value=_read,
+        metrics=(_E2E, _READ_MIB, _REQUESTS), label=_metric_label,
+        series=lambda column: (column if column == "snapbpf"
+                               else f"ra={column}"),
+        base_functions=("pagerank",),
+        notes="Linux-RA readahead window in pages (32 = the kernel's "
+              "128 KiB default) vs SnapBPF",
+        claims=(
+            Claim("no readahead is the slowest window",
+                  _each(lambda v: v(0, _E2E) == max(
+                      v(w, _E2E) for w in RA_WINDOWS))),
+            Claim("no readahead reads the fewest bytes",
+                  _each(lambda v: v(0, _READ_MIB) == min(
+                      v(w, _READ_MIB) for w in RA_WINDOWS))),
+            Claim("bytes read grow with the window",
+                  _each(lambda v: all(
+                      v(a, _READ_MIB) <= v(b, _READ_MIB)
+                      for a, b in pairwise(RA_WINDOWS)))),
+            Claim("no static window beats SnapBPF",
+                  _each(lambda v: v("snapbpf", _E2E) < min(
+                      v(w, _E2E) for w in RA_WINDOWS))))),
+    # A2 (§2.1): FaaSnap's region coalescing trades mmap count for
+    # working-set inflation, which amplifies I/O.
+    "coalescing": Figure(
+        "regions / inflation / bytes read (MiB) / E2E (s)", GAP_THRESHOLDS,
+        cell=lambda profile, gap: ScenarioSpec(
+            profile, "faasnap", approach_params={"gap_threshold": gap}),
+        value=_read, metrics=(_REGIONS, _INFLATION, _READ_MIB, _E2E),
+        label=_metric_label, series=lambda gap: f"gap={gap}",
+        base_functions=("pagerank",),
+        notes="FaaSnap coalescing gap in pages (16 = its default)",
+        claims=(
+            Claim("regions fall as the gap grows",
+                  _each(lambda v: all(v(a, _REGIONS) >= v(b, _REGIONS)
+                                      for a, b in pairwise(GAP_THRESHOLDS)))),
+            Claim("inflation grows with the gap",
+                  _each(lambda v: all(
+                      v(a, _INFLATION) <= v(b, _INFLATION)
+                      for a, b in pairwise(GAP_THRESHOLDS)))),
+            Claim("no gap, no inflation",
+                  _each(lambda v: abs(v(0, _INFLATION) - 1.0) <= 1e-6)),
+            Claim("the widest gap inflates the working set over 1.5x",
+                  _each(lambda v: v(256, _INFLATION) > 1.5)),
+            Claim("the amplification reaches the device",
+                  _each(lambda v: v(256, _READ_MIB)
+                        > 1.2 * v(0, _READ_MIB))))),
+    # A3 (§4): stock KVM forcibly write-maps some read faults, CoWing
+    # shared page-cache pages; the paper's patch write-maps only pages
+    # that are already writable.
+    "kvm-cow": Figure(
+        "peak memory (GiB) / E2E (s)", ("patched", "stock"),
+        cell=lambda profile, kvm: ScenarioSpec(
+            profile, "snapbpf", n_instances=CONCURRENT_INSTANCES,
+            approach_params={"patched_cow": kvm == "patched"}),
+        value=_read, metrics=(_PEAK_GIB, _E2E), label=_metric_label,
+        base_functions=("bfs",),
+        notes=f"SnapBPF, {CONCURRENT_INSTANCES} concurrent instances; "
+              f"patched = opportunistic write-map, stock = forced",
+        claims=(
+            Claim("stock KVM's forced CoW inflates memory over 1.5x",
+                  _each(lambda v: v("stock", _PEAK_GIB)
+                        > 1.5 * v("patched", _PEAK_GIB)),
+                  functions=("bfs",)),)),
+    # A1 (§3.1): modern SSDs relax the need for sequential I/O; on a
+    # spindle every discontiguity costs a seek.
+    "device": Figure(
+        "E2E (s) / I/O requests", ("reap", "snapbpf"),
+        cell=lambda profile, approach, device: ScenarioSpec(
+            profile, approach, device_kind=device),
+        value=_read, axes=(("ssd", "hdd"),), metrics=(_E2E, _REQUESTS),
+        label=_metric_label, base_functions=("pagerank",),
+        notes="1 instance; REAP streams a serialized WS file, SnapBPF "
+              "reads scattered offset groups",
+        claims=(
+            Claim("on the SSD, SnapBPF within 5 % of REAP",
+                  _each(lambda v: v("snapbpf", "ssd", _E2E)
+                        / v("reap", "ssd", _E2E) < 1.05)),
+            Claim("on the HDD, SnapBPF over 2x slower than REAP",
+                  _each(lambda v: v("snapbpf", "hdd", _E2E)
+                        / v("reap", "hdd", _E2E) > 2.0)),
+            Claim("the HDD hurts SnapBPF far more than REAP",
+                  _each(lambda v: v("snapbpf", "hdd", _E2E)
+                        / v("reap", "hdd", _E2E)
+                        > 2 * v("snapbpf", "ssd", _E2E)
+                        / v("reap", "ssd", _E2E))))),
+    # X1 (§4 future work): varying inputs cost deduplication only the
+    # input-dependent working-set fraction.
+    "input-variation": Figure(
+        "peak memory (GiB) / E2E (s)", ("reap", "snapbpf"),
+        cell=lambda profile, approach, inputs: ScenarioSpec(
+            profile, approach, n_instances=CONCURRENT_INSTANCES,
+            vary_inputs=inputs == "varying"),
+        value=_read, axes=(("identical", "varying"),),
+        metrics=(_PEAK_GIB, _E2E), label=_metric_label,
+        base_functions=("rnn",),
+        notes=f"{CONCURRENT_INSTANCES} concurrent instances",
+        claims=(
+            Claim("varying inputs cost SnapBPF some sharing, not a "
+                  "collapse to REAP",
+                  _each(lambda v: v("snapbpf", "identical", _PEAK_GIB)
+                        < v("snapbpf", "varying", _PEAK_GIB)
+                        < 0.8 * v("reap", "varying", _PEAK_GIB))),
+            Claim("REAP has no sharing to lose",
+                  _each(lambda v: abs(v("reap", "varying", _PEAK_GIB)
+                                      - v("reap", "identical", _PEAK_GIB))
+                        < 0.25 * v("reap", "identical", _PEAK_GIB))))),
+    # X2 (§4 future work): SnapBPF's own computational costs.  Costlier
+    # eBPF plumbing barely moves it (I/O-bound); costlier CPU narrows its
+    # lead, because its per-page costs ride the vCPU while REAP hides its
+    # copies on handler threads.
+    "cost-model": Figure(
+        "E2E latency (s)", tuple(COST_COLUMNS), cell=_cost_cell,
+        value=_e2e, base_functions=("rnn",),
+        notes="1x = the calibrated cost model; bpf scales SnapBPF's eBPF "
+              "costs only, cpu every CPU cost",
+        claims=(
+            Claim("10x eBPF costs move SnapBPF under 10 %",
+                  _each(lambda v: v("snapbpf bpf 10x") / v("snapbpf 1x")
+                        < 1.10)),
+            Claim("SnapBPF beats REAP at 1x",
+                  _each(lambda v: v("snapbpf 1x") < v("reap 1x")),
+                  functions=("rnn",)),
+            Claim("4x CPU costs slow SnapBPF more than REAP",
+                  _each(lambda v: v("reap cpu 4x") / v("snapbpf cpu 4x")
+                        < v("reap 1x") / v("snapbpf 1x"))))),
 }
 
 FIGURES: tuple[str, ...] = tuple(REGISTRY)
@@ -441,18 +713,20 @@ def _variant(figure: str, quick: bool) -> Figure:
     return replace(fig, **fig.quick) if quick and fig.quick else fig
 
 
-def _cells(fig: Figure, functions) -> list[tuple]:
+def _cells(fig: Figure, profiles) -> list[tuple]:
     """``(profile, column, point, spec)`` per cell, in sweep order."""
     return [(profile, column, point, fig.cell(profile, column, *point))
-            for profile in _profiles(functions, fig.base_functions)
+            for profile in profiles
             for column in fig.columns for point in product(*fig.axes)]
 
 
 def figure_specs(figure: str, functions=None,
                  quick: bool = False) -> list[ScenarioSpec]:
     """Every scenario cell one figure needs, as sweepable specs."""
+    fig = _variant(figure, quick)
     return list(dict.fromkeys(
-        spec for *_, spec in _cells(_variant(figure, quick), functions)))
+        spec for *_, spec in _cells(
+            fig, _profiles(functions, fig.base_functions))))
 
 
 def matrix_specs(figures=None, functions=None,
@@ -467,15 +741,16 @@ def matrix_specs(figures=None, functions=None,
 def build_figure(figure: str, cache: ResultCache | None = None,
                  functions=None, quick: bool = False) -> FigureData:
     """Build one figure by name against a (possibly pre-warmed) cache,
-    reading exactly the cells :func:`figure_specs` names."""
+    reading exactly the cells :func:`figure_specs` names, and check its
+    claims against the table."""
     fig = _variant(figure, quick)
     if cache is None:  # not ``or``: a ResultCache with no entries is falsy
         cache = ResultCache()
-    cells = _cells(fig, functions)
+    profiles = _profiles(functions, fig.base_functions)
+    cells = _cells(fig, profiles)
     results = {(profile, column, point): cache.get(spec)
                for profile, column, point, spec in cells}
-    rows = [(profile, point, metric)
-            for profile in _profiles(functions, fig.base_functions)
+    rows = [(profile, point, metric) for profile in profiles
             for point in product(*fig.axes) for metric in fig.metrics]
     data = FigureData(
         figure=figure, ylabel=fig.ylabel, notes=fig.notes,
@@ -493,6 +768,17 @@ def build_figure(figure: str, cache: ResultCache | None = None,
         data.summary = [fig.summary(spec, results[profile, column, point],
                                     *point)
                         for profile, column, point, spec in cells]
+    by_name = {profile.name: profile for profile in profiles}
+
+    def value(function, column, *row):
+        return data.value(fig.label(by_name[function], *row),
+                          fig.series(column))
+
+    for claim in fig.claims:
+        names = [name for name in by_name
+                 if claim.functions is None or name in claim.functions]
+        if names and not claim.holds(value, names):
+            data.failed_claims.append(claim.text)
     return data
 
 

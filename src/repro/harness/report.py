@@ -1,8 +1,9 @@
 """Plain-text rendering of regenerated figures and tables.
 
-The benchmarks tee these renderings into ``results/`` so the
-paper-vs-measured comparison in EXPERIMENTS.md can be regenerated from a
-single run.
+``python -m repro fig NAME``, ``python -m repro table1`` and
+``examples/faas_node.py`` print these renderings; each file under
+``results/`` is one command's stdout, so the paper-vs-measured
+comparison in EXPERIMENTS.md can be regenerated command by command.
 """
 
 from __future__ import annotations

@@ -3,12 +3,12 @@
 One spec names everything that determines a scenario's outcome: the full
 :class:`~repro.workloads.profile.FunctionProfile` (not just its name, so
 a re-calibrated profile invalidates cached results), the approach
-registry name, the concurrency level, the input seed, the
-identical-vs-varying inputs switch, the device kind, and the optional
-:class:`~repro.mm.costs.CostModel` override.  Because the simulation is
-a pure function of these fields, a spec is also a *cache key*: two equal
-specs always produce byte-identical :class:`ScenarioResult`\\ s, whatever
-process or job count ran them.
+registry name and its constructor parameters, the concurrency level,
+the input seed, the identical-vs-varying inputs switch, the device kind,
+and the optional :class:`~repro.mm.costs.CostModel` override.  Because
+the simulation is a pure function of these fields, a spec is also a
+*cache key*: two equal specs always produce byte-identical
+:class:`ScenarioResult`\\ s, whatever process or job count ran them.
 
 ``stable_hash()`` content-addresses the spec: a SHA-256 over the
 canonical JSON form plus :data:`SCHEMA_VERSION`.  Bumping the schema
@@ -19,6 +19,7 @@ every old on-disk entry instead of deserializing it wrongly.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 from dataclasses import asdict, dataclass
 
@@ -37,8 +38,9 @@ from repro.workloads.profile import FunctionProfile, profile_by_name
 #: v4: traffic plane (ClusterSpec keep-alive policy fields and nested
 #: TrafficSpec workload).
 #: v5: snapstore plane (nested SnapStoreSpec field; snapshot tiering).
-#: The nested ChaosSpec field came later without a bump: it is emitted
-#: only when set, so every earlier spec keeps its hash.
+#: The nested ChaosSpec and the approach_params fields came later without
+#: a bump: each is emitted only when set, so every earlier spec keeps its
+#: hash.
 SCHEMA_VERSION = 5
 
 _DEVICE_KINDS = ("ssd", "hdd")
@@ -49,6 +51,33 @@ def stable_hash(payload) -> str:
     keys and compact separators so the digest is canonical."""
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _approach_params(approach: str, params) -> tuple:
+    """``params`` (a dict or ``(name, value)`` pairs) checked against
+    the approach class's constructor keywords, as sorted pairs without
+    the defaults."""
+    if not params:
+        return ()
+    from repro.baselines.base import approach_registry
+    cls = approach_registry().get(approach)
+    if cls is None:
+        raise ValueError(f"unknown approach {approach!r}")
+    defaults = {name: p.default for name, p in
+                list(inspect.signature(cls).parameters.items())[1:]
+                if p.default is not p.empty}
+    kept = {}
+    for name, value in dict(params).items():
+        if name not in defaults:
+            raise ValueError(f"{approach} takes no parameter {name!r}; "
+                             f"choose from {sorted(defaults)}")
+        if type(value) is not type(defaults[name]):
+            raise TypeError(f"{approach} parameter {name!r} takes a "
+                            f"{type(defaults[name]).__name__}, got "
+                            f"{value!r}")
+        if value != defaults[name]:
+            kept[name] = value
+    return tuple(sorted(kept.items()))
 
 
 @dataclass(frozen=True)
@@ -88,6 +117,14 @@ class ScenarioSpec:
     #: ram_bytes apply; ``canonical()`` emits the field only when set,
     #: so specs without it keep their hashes.
     chaos: ChaosSpec | None = None
+    #: Constructor keywords for the approach's registry class: the
+    #: readahead window (``ra_pages``), FaaSnap's coalescing gap
+    #: (``gap_threshold``), the KVM CoW patch (``patched_cow``).  Given
+    #: as a dict, kept as sorted ``(name, value)`` pairs without the
+    #: values equal to the constructor's defaults, so a default setting
+    #: is the plain spec.  Page-level scenarios only; ``canonical()``
+    #: emits the field only when non-empty.
+    approach_params: tuple = ()
 
     def __post_init__(self) -> None:
         if isinstance(self.function, str):
@@ -148,6 +185,13 @@ class ScenarioSpec:
                 raise ValueError(f"chaos scenarios serve one request at a "
                                  f"time on one node; unsupported: "
                                  f"{', '.join(unsupported)}")
+        object.__setattr__(self, "approach_params", _approach_params(
+            self.approach, self.approach_params))
+        if self.approach_params and (self.cluster is not None
+                                     or self.chaos is not None):
+            raise ValueError("approach_params apply to page-level "
+                             "scenarios; cluster and chaos runs build "
+                             "their approaches by name")
 
     # -- identity ------------------------------------------------------------
     @property
@@ -173,6 +217,8 @@ class ScenarioSpec:
         }
         if self.chaos is not None:
             data["chaos"] = self.chaos.canonical()
+        if self.approach_params:
+            data["approach_params"] = dict(self.approach_params)
         return data
 
     def stable_hash(self) -> str:
@@ -203,6 +249,7 @@ class ScenarioSpec:
                        if data.get("snapstore") is not None else None),
             chaos=(ChaosSpec.from_dict(data["chaos"])
                    if data.get("chaos") is not None else None),
+            approach_params=data.get("approach_params", ()),
         )
 
     def __str__(self) -> str:  # pragma: no cover - display helper
@@ -222,6 +269,7 @@ class ScenarioSpec:
             extras.append(f"snapstore={self.snapstore.placement}")
         if self.chaos is not None:
             extras.append(f"chaos-seed={self.chaos.fault_seed}")
+        extras += [f"{name}={value}" for name, value in self.approach_params]
         suffix = f" ({', '.join(extras)})" if extras else ""
         return (f"{self.function_name}/{self.approach} "
                 f"x{self.n_instances} [{self.device_kind}]{suffix}")

@@ -223,14 +223,6 @@ class ReclaimStats:
         return int(self._activations.value)
 
     @property
-    def promotions(self) -> int:
-        return int(self._promotions.value)
-
-    @property
-    def demotions(self) -> int:
-        return int(self._demotions.value)
-
-    @property
     def policy_runs(self) -> int:
         return int(self._policy_runs.value)
 

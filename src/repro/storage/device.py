@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from repro.metrics.registry import Histogram, MetricsRegistry
 from repro.sim import Environment, Event, Resource, Timeout
 from repro.sim.engine import URGENT
-from repro.units import PAGE_SIZE
 
 READ = "read"
 WRITE = "write"
@@ -69,7 +68,7 @@ class BlockIOError(IOError):
 
 
 class DeviceStats:
-    """Cumulative accounting used by the benchmarks (I/O amplification).
+    """Cumulative accounting used by the figures (I/O amplification).
 
     A read-compatible facade over registry metrics: every counter the old
     dataclass exposed is still an attribute here, but the values live in
@@ -279,10 +278,6 @@ class BlockDevice:
     def reset_stats(self) -> None:
         """Zero the device counters in place (the stats object survives)."""
         self.stats.reset()
-
-    @property
-    def pages_capacity(self) -> int:
-        return self.capacity_bytes // PAGE_SIZE
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<{type(self).__name__} {self.name} "

@@ -5,7 +5,7 @@ I/O"; this 7200 rpm HDD model exists to show the counterfactual — with a
 mechanical actuator, prefetching a scattered working set directly from
 the snapshot file costs a seek per discontiguity, and the baselines'
 serialized (contiguous) working-set files win decisively.  The ablation
-benchmark ``benchmarks/test_ablation_device.py`` (A1) runs both.
+figure ``fig device`` (A1) runs both.
 """
 
 from __future__ import annotations

@@ -30,10 +30,6 @@ def page_index(offset: int) -> int:
     return offset >> PAGE_SHIFT
 
 
-def page_aligned(offset: int) -> bool:
-    return (offset & (PAGE_SIZE - 1)) == 0
-
-
 def fmt_bytes(nbytes: float) -> str:
     """Human-readable size, e.g. ``fmt_bytes(3 * MIB) == '3.0 MiB'``."""
     for unit, name in ((GIB, "GiB"), (MIB, "MiB"), (KIB, "KiB")):

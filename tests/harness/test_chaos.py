@@ -143,12 +143,12 @@ def test_chaos_key_covers_fault_config(profile):
     assert "chaos" not in plain.canonical()
 
 
-def test_chaos_rejects_kernel_and_factory_overrides(profile, kernel):
+def test_chaos_rejects_kernel_and_approach_params(profile, kernel):
     with pytest.raises(TypeError):
         run_scenario(chaos_spec(profile), kernel=kernel)
-    with pytest.raises(TypeError):
-        run_scenario(chaos_spec(profile),
-                     approach_factory=lambda k: None)
+    with pytest.raises(ValueError, match="chaos"):
+        dataclasses.replace(chaos_spec(profile),
+                            approach_params={"patched_cow": False})
 
 
 def test_render_chaos_table(profile):

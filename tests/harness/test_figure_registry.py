@@ -1,14 +1,16 @@
 """The figure registry's contract: building a figure (its table and its
 per-cell summary) reads exactly the cells ``figure_specs`` enumerates,
 for every figure, both variants and all 13 functions, with no
-simulation."""
+simulation; and ``fig`` exits 1 when a table breaks a claim."""
 
 import dataclasses
 
 import pytest
 
+from repro.__main__ import main
 from repro.harness.figures import FIGURES, build_figure, figure_specs
 from repro.harness.report import render_figure
+from repro.harness.sweep import ResultStore
 from repro.metrics.results import ScenarioResult
 from repro.units import GIB, MIB
 from repro.vmm.microvm import InvocationStats
@@ -24,6 +26,8 @@ def canned_result() -> ScenarioResult:
     """One result carrying every field and extra a figure reads."""
     extra = {
         "map_load_seconds": 0.0015,
+        "region_count": 120.0,
+        "inflation_ratio": 1.25,
         "cluster_cold_ratio": 0.25,
         "cluster_p99_latency": 0.4,
         "traffic_invocations": 1000.0,
@@ -116,3 +120,24 @@ def test_summaries_read_the_cell_extras():
     assert storage.summary[2] == (
         "json/linux-ra [local random]: dedup 8.50x, unique 300 MiB, "
         "local 1536 MiB, remote fetched 120 MiB")
+
+
+@pytest.mark.parametrize("snapbpf_e2e, status", [(0.1, 0), (0.3, 1)])
+def test_fig_exits_1_when_a_claim_fails(tmp_path, capsys, snapbpf_e2e,
+                                        status):
+    """A store whose snapbpf cells are slower than REAP's breaks Fig. 3a's
+    claims: the table still prints, the claim is named, and ``fig``
+    returns 1 (and 0 when they are faster)."""
+    store = ResultStore(tmp_path)
+    for spec in figure_specs("3a", ["json"]):
+        e2e = snapbpf_e2e if spec.approach == "snapbpf" else 0.2
+        store.save_scenario(spec, dataclasses.replace(
+            canned_result(), invocations=[
+                InvocationStats(vm_id="vm0", e2e_seconds=e2e)]))
+    argv = ["fig", "3a", "--functions", "json", "--cache-dir", str(tmp_path)]
+    assert main(argv) == status
+    out, err = capsys.readouterr()
+    assert out.startswith("Figure 3a: E2E latency (s)")
+    assert "executed=0 " in err
+    assert ("claim failed: figure 3a: SnapBPF within 10 % of REAP"
+            in err) == bool(status)

@@ -1,4 +1,5 @@
-"""Figure builders on small profiles (full-size runs live in benchmarks/)."""
+"""Figure builders on small profiles (full-size runs: ``python -m repro
+fig NAME``, which also checks each figure's claims)."""
 
 import pytest
 
@@ -65,13 +66,28 @@ def test_overheads(cache, small):
 
 
 def test_table_1_matches_paper():
+    """The paper's Table 1, row by row."""
     rows = {row["approach"]: row for row in table_1()}
-    assert rows["reap"]["in_memory_ws_dedup"] == "No"
-    assert rows["faasnap"]["in_memory_ws_dedup"] == "Yes"
-    assert rows["snapbpf"]["on_disk_ws_serialization"] == "No"
-    assert rows["snapbpf"]["space"] == "Kernel-space"
+    assert list(rows) == ["reap", "faast", "faasnap", "snapbpf"]
+    assert rows["reap"] == {
+        "approach": "reap", "mechanism": "userfaultfd",
+        "space": "User-space", "on_disk_ws_serialization": "Yes",
+        "in_memory_ws_dedup": "No", "stateless_alloc_filtering": "No",
+        "snapshot_prescan": "No"}
+    assert rows["faast"]["stateless_alloc_filtering"] == "Yes"
+    assert rows["faast"]["snapshot_prescan"] == "Yes"
     assert all(rows[a]["on_disk_ws_serialization"] == "Yes"
                for a in ("reap", "faast", "faasnap"))
+    assert rows["faasnap"] == {
+        "approach": "faasnap", "mechanism": "mincore / mmap",
+        "space": "User-space", "on_disk_ws_serialization": "Yes",
+        "in_memory_ws_dedup": "Yes", "stateless_alloc_filtering": "Yes",
+        "snapshot_prescan": "Yes"}
+    assert rows["snapbpf"] == {
+        "approach": "snapbpf", "mechanism": "eBPF",
+        "space": "Kernel-space", "on_disk_ws_serialization": "No",
+        "in_memory_ws_dedup": "Yes", "stateless_alloc_filtering": "Yes",
+        "snapshot_prescan": "No"}
 
 
 def test_renderers_produce_text(cache, small):

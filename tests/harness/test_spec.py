@@ -1,4 +1,5 @@
-"""ScenarioSpec: coercion, hashing, serialization, and the shim."""
+"""ScenarioSpec: coercion, hashing, serialization, approach parameters,
+and the shim."""
 
 import dataclasses
 
@@ -41,6 +42,7 @@ def test_stable_hash_is_content_addressed(tiny_profile):
         dataclasses.replace(base, device_kind="hdd"),
         dataclasses.replace(base, costs=CostModel().scaled(2.0)),
         dataclasses.replace(base, function=profile_by_name("json")),
+        dataclasses.replace(base, approach_params={"patched_cow": False}),
     ]
     hashes = {base.stable_hash()} | {v.stable_hash() for v in variants}
     assert len(hashes) == len(variants) + 1, "every field must key the hash"
@@ -68,6 +70,9 @@ GOLDEN_HASHES = {
         "5bd73cfe60f322a3af937c0165fe2966b05fa406126d00e77d9fd0a553c3d161",
     "snapstore":
         "f2f1c19816bd49c4da92e768d1860cb9ab324d96f05c05a32365629973935a44",
+    # Pinned when the field arrived: the canonical form of a set one.
+    "approach_params":
+        "b96392f888a43144fd9e4d5e1878c877c275bd4a1bb03159f49aa7ea959708c9",
 }
 
 
@@ -86,6 +91,9 @@ def test_stable_hash_golden_per_plane():
                                 total_rps=50.0, duration=10.0, seed=3))),
         "snapstore": ScenarioSpec(json_, "linux-ra", n_instances=4,
                                   snapstore=STORAGE_TIERS["tiered"]),
+        "approach_params": ScenarioSpec(
+            json_, "snapbpf", n_instances=10,
+            approach_params={"patched_cow": False}),
     }
     assert {name: spec.stable_hash()
             for name, spec in specs.items()} == GOLDEN_HASHES
@@ -101,6 +109,46 @@ def test_canonical_round_trip(tiny_profile):
                          chaos=ChaosSpec(fault_seed=3, n_requests=4,
                                          request_deadline=0.5))
     assert ScenarioSpec.from_dict(chaos.canonical()) == chaos
+    params = ScenarioSpec(function=tiny_profile, approach="faasnap",
+                          approach_params={"gap_threshold": 64})
+    assert params.canonical()["approach_params"] == {"gap_threshold": 64}
+    assert ScenarioSpec.from_dict(params.canonical()) == params
+
+
+def test_default_approach_params_are_the_plain_spec(tiny_profile):
+    """A parameter equal to its constructor default is dropped, so the
+    ablations' default cells are the paper figures' own cells."""
+    plain = ScenarioSpec(function=tiny_profile, approach="linux-ra")
+    for params in ({"ra_pages": 32}, (("ra_pages", 32),), {}):
+        spec = ScenarioSpec(function=tiny_profile, approach="linux-ra",
+                            approach_params=params)
+        assert spec == plain and spec.stable_hash() == plain.stable_hash()
+        assert "approach_params" not in spec.canonical()
+    both = ScenarioSpec(function=tiny_profile, approach="snapbpf",
+                        approach_params={"patched_cow": False,
+                                         "pv_marking": True})
+    assert both.approach_params == (("patched_cow", False),)
+    assert hash(both) == hash(dataclasses.replace(
+        both, approach_params={"patched_cow": False}))
+
+
+def test_invalid_approach_params_rejected(tiny_profile):
+    with pytest.raises(ValueError, match="ra_pages"):
+        ScenarioSpec(function=tiny_profile, approach="snapbpf",
+                     approach_params={"ra_pages": 8})
+    with pytest.raises(ValueError, match="no parameter"):
+        ScenarioSpec(function=tiny_profile, approach="linux-nora",
+                     approach_params={"ra_pages": 8})
+    with pytest.raises(ValueError, match="unknown approach"):
+        ScenarioSpec(function=tiny_profile, approach="nope",
+                     approach_params={"ra_pages": 8})
+    with pytest.raises(TypeError, match="bool"):
+        ScenarioSpec(function=tiny_profile, approach="snapbpf",
+                     approach_params={"patched_cow": "no"})
+    with pytest.raises(ValueError, match="cluster"):
+        ScenarioSpec(function=tiny_profile, approach="linux-ra",
+                     cluster=ClusterSpec(n_nodes=2),
+                     approach_params={"ra_pages": 8})
 
 
 def test_invalid_specs_rejected(tiny_profile):
@@ -143,10 +191,15 @@ def test_run_scenario_requires_a_spec(tiny_profile):
         run_scenario({"function": "json", "approach": "snapbpf"})
 
 
-def test_run_scenario_approach_factory_overrides_registry(tiny_profile):
-    from repro.baselines.reap import REAP
-    spec = ScenarioSpec(function=tiny_profile, approach="reap")
-    via_name = run_scenario(spec)
-    via_factory = run_scenario(spec, approach_factory=REAP)
-    assert via_factory.approach == "reap"
-    assert via_factory == via_name
+def test_run_scenario_passes_approach_params(tiny_profile):
+    """The readahead window reaches the approach's constructor: Linux-RA
+    with no window replays Linux-NoRA byte for byte, under its own
+    name."""
+    nora = run_scenario(ScenarioSpec(function=tiny_profile,
+                                     approach="linux-nora"))
+    no_window = run_scenario(ScenarioSpec(
+        function=tiny_profile, approach="linux-ra",
+        approach_params={"ra_pages": 0}))
+    assert no_window.approach == "linux-ra"
+    assert dataclasses.replace(
+        no_window, approach="linux-nora").to_json() == nora.to_json()

@@ -31,6 +31,21 @@ def test_store_round_trip(tmp_path, spec):
     assert store.load_scenario(spec) == result
 
 
+def test_store_round_trips_approach_params(tmp_path, tiny_profile):
+    """An approach-parameter cell is its own entry, and the spec the
+    entry records rebuilds the same key."""
+    store = ResultStore(tmp_path)
+    spec = ScenarioSpec(function=tiny_profile, approach="linux-ra",
+                        approach_params={"ra_pages": 0})
+    result = run_scenario(spec)
+    store.save_scenario(spec, result)
+    assert store.load_scenario(spec) == result
+    plain = dataclasses.replace(spec, approach_params={})
+    assert store.load_scenario(plain) is None
+    entry = json.loads(store.path(spec.stable_hash()).read_text())
+    assert ScenarioSpec.from_dict(entry["spec"]) == spec
+
+
 def test_store_misses_on_absent_and_corrupt_entries(tmp_path, spec):
     store = ResultStore(tmp_path)
     assert store.load_scenario(spec) is None

@@ -141,7 +141,8 @@ class TestFigure4:
 
 class TestOverheads:
     """§4: offset loading is ~1-2 ms, <1% of E2E (full-size profiles in
-    benchmarks); here: the fraction stays small even on tiny functions."""
+    ``fig overheads``); here: the fraction stays small even on tiny
+    functions."""
 
     def test_map_load_fraction(self, cache, bert_like):
         result = cache.get(ScenarioSpec(bert_like, "snapbpf"))
@@ -152,20 +153,11 @@ class TestKvmCowAnecdote:
     """§4 Memory paragraph: unpatched KVM forcibly write-maps some read
     faults, CoWing shared pages and diminishing deduplication."""
 
-    def test_unpatched_kvm_diminishes_dedup(self, bert_like):
-        from repro.core.approach import SnapBPF
-        from repro.harness.experiment import run_scenario
-
-        def patched(kernel):
-            return SnapBPF(kernel, patched_cow=True)
-
-        def unpatched(kernel):
-            approach = SnapBPF(kernel, patched_cow=False)
-            return approach
-
-        spec = ScenarioSpec(bert_like, "snapbpf",
-                            n_instances=CONCURRENCY)
-        good = run_scenario(spec, approach_factory=patched)
-        bad = run_scenario(spec, approach_factory=unpatched)
+    def test_unpatched_kvm_diminishes_dedup(self, cache, bert_like):
+        good = cache.get(ScenarioSpec(bert_like, "snapbpf",
+                                      n_instances=CONCURRENCY))
+        bad = cache.get(ScenarioSpec(bert_like, "snapbpf",
+                                     n_instances=CONCURRENCY,
+                                     approach_params={"patched_cow": False}))
         assert bad.approach == good.approach == "snapbpf"
         assert bad.peak_memory_bytes > 1.5 * good.peak_memory_bytes
