@@ -240,7 +240,6 @@ def run_cluster(spec, fault_config=None, fault_seed: int = 0,
             snapstores.append(store)
         kernels.append(kernel)
         return FaaSNode(kernel, spec.approach, profiles,
-                        warm_pool_ttl=cspec.warm_pool_ttl,
                         request_deadline=cspec.request_deadline,
                         keepalive=keepalive)
 
@@ -340,11 +339,15 @@ def run_cluster(spec, fault_config=None, fault_seed: int = 0,
         metrics=registry.snapshot(),
         peak_memory_bytes=sum(k.frames.peak_bytes for k in kernels),
         end_memory_bytes=sum(k.memory_in_use_bytes() for k in kernels),
-        device_requests=sum(k.device.stats.requests for k in kernels),
-        device_bytes_read=sum(k.device.stats.bytes_read for k in kernels),
-        device_bytes_written=sum(k.device.stats.bytes_written
-                                 for k in kernels),
-        cache_adds=sum(k.page_cache.stats.adds for k in kernels),
+        device_requests=sum(k.metrics.get("device_requests_total").value
+                            for k in kernels),
+        device_bytes_read=sum(k.metrics.get("device_bytes_read_total").value
+                              for k in kernels),
+        device_bytes_written=sum(
+            k.metrics.get("device_bytes_written_total").value
+            for k in kernels),
+        cache_adds=sum(k.metrics.get("cache_adds_total").value
+                       for k in kernels),
         start_time=base, end_time=env.now)
 
 

@@ -124,8 +124,9 @@ def _run_scenario(spec: ScenarioSpec,
     if spec.evict_policy is not None:
         from repro.core.policies import attach_evict_policy
         attach_evict_policy(kernel, spec.evict_policy)
-    cache_adds_before = kernel.page_cache.stats.adds
-    hook_seconds_before = kernel.page_cache.stats.bpf_hook_seconds
+    registry = kernel.metrics
+    cache_adds_before = registry.get("cache_adds_total").value
+    hook_seconds_before = registry.get("cache_bpf_hook_seconds_total").value
 
     # -- timed concurrent invocations --------------------------------------------------
     vms: list = []
@@ -158,6 +159,8 @@ def _run_scenario(spec: ScenarioSpec,
     env.run(done)
 
     usage = kernel.frames.usage()
+    metrics = registry.snapshot()
+    latency = registry.get("device_request_latency_seconds")
     result = ScenarioResult(
         function=profile.name,
         approach=approach.name,
@@ -167,17 +170,17 @@ def _run_scenario(spec: ScenarioSpec,
         end_memory_bytes=kernel.memory_in_use_bytes(),
         end_anon_bytes=usage.anon * PAGE_SIZE,
         end_file_bytes=usage.file * PAGE_SIZE,
-        device_requests=kernel.device.stats.requests,
-        device_bytes_read=kernel.device.stats.bytes_read,
-        device_bytes_written=kernel.device.stats.bytes_written,
-        cache_adds=kernel.page_cache.stats.adds - cache_adds_before,
-        bpf_hook_seconds=(kernel.page_cache.stats.bpf_hook_seconds
+        device_requests=metrics["device_requests_total"],
+        device_bytes_read=metrics["device_bytes_read_total"],
+        device_bytes_written=metrics["device_bytes_written_total"],
+        cache_adds=metrics["cache_adds_total"] - cache_adds_before,
+        bpf_hook_seconds=(metrics["cache_bpf_hook_seconds_total"]
                           - hook_seconds_before),
         prepare_seconds=prepare_seconds,
-        metrics=kernel.metrics.snapshot(),
-        device_p50_latency=kernel.device.stats.p50_latency,
-        device_p95_latency=kernel.device.stats.p95_latency,
-        device_p99_latency=kernel.device.stats.p99_latency,
+        metrics=metrics,
+        device_p50_latency=latency.percentile(50),
+        device_p95_latency=latency.percentile(95),
+        device_p99_latency=latency.percentile(99),
     )
     _collect_extras(approach, result)
     if kernel.snapstore is not None:
@@ -299,10 +302,9 @@ class ResultCache:
                 return result
         return None
 
-    def insert(self, spec: ScenarioSpec, result: ScenarioResult,
-               persist: bool = True) -> None:
+    def insert(self, spec: ScenarioSpec, result: ScenarioResult) -> None:
         self._cache[spec] = result
-        if persist and self.store is not None:
+        if self.store is not None:
             self.store.save_scenario(spec, result)
 
     def record_execution(self, spec: ScenarioSpec,

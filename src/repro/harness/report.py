@@ -30,36 +30,6 @@ def render_table(rows: list[list[str]], title: str = "") -> str:
     return "\n".join(lines)
 
 
-def scenario_rows(results) -> list[list[str]]:
-    """Header + one row per :class:`ScenarioResult`, with E2E latency
-    percentiles (ms) and device-side request-latency percentiles (us)."""
-    header = ["function", "approach", "n", "mean E2E (ms)", "p50 (ms)",
-              "p95 (ms)", "p99 (ms)", "dev p50 (us)", "dev p95 (us)",
-              "dev p99 (us)", "peak mem (GiB)", "I/O reqs"]
-    rows = [header]
-    for res in results:
-        rows.append([
-            res.function,
-            res.approach,
-            str(res.n_instances),
-            f"{res.mean_e2e * 1e3:.1f}",
-            f"{res.p50_e2e * 1e3:.1f}",
-            f"{res.p95_e2e * 1e3:.1f}",
-            f"{res.p99_e2e * 1e3:.1f}",
-            f"{res.device_p50_latency * 1e6:.0f}",
-            f"{res.device_p95_latency * 1e6:.0f}",
-            f"{res.device_p99_latency * 1e6:.0f}",
-            f"{res.peak_memory_gib:.2f}",
-            str(res.device_requests),
-        ])
-    return rows
-
-
-def render_scenarios(results, title: str = "") -> str:
-    """Scenario summary table with latency percentile columns."""
-    return render_table(scenario_rows(results), title=title)
-
-
 def render_figure(data: FigureData) -> str:
     title = f"Figure {data.figure}: {data.ylabel}"
     if data.notes:

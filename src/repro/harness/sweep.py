@@ -72,19 +72,18 @@ _FLUSH_GRACE = 60.0
 class ResultStore:
     """Content-addressed on-disk JSON store, one file per entry.
 
-    Keys are content hashes (``ScenarioSpec.stable_hash()`` or any other
-    :func:`~repro.harness.spec.stable_hash` digest); each file carries
-    the schema version and a ``kind`` tag.  Loads are defensive: a
-    missing file or a schema/kind mismatch is a *miss* — the scenario
-    simply re-runs.  A file that exists but does not parse (a torn
-    write) is **quarantined**: renamed to ``<key>.json.corrupt`` so the
-    evidence survives the re-run that overwrites the key, and counted in
-    ``corrupt_entries`` (surfaced as ``store_corrupt_entries_total``
-    through the owning cache's registry).  Writes are atomic (temp file
-    + ``os.replace``) so a killed sweep cannot leave a torn entry
-    behind; ``fault_injector`` (a
-    :class:`~repro.faults.sweep.SweepFaultInjector`) can tear them on
-    purpose for chaos tests.
+    Keys are ``ScenarioSpec.stable_hash()`` digests; each file carries
+    the schema version and the ``"scenario"`` kind tag.  Loads are
+    defensive: a missing file or a schema/kind mismatch is a *miss* —
+    the scenario simply re-runs.  A file that exists but does not parse
+    (a torn write) is **quarantined**: renamed to ``<key>.json.corrupt``
+    so the evidence survives the re-run that overwrites the key, and
+    counted in ``corrupt_entries`` (surfaced as
+    ``store_corrupt_entries_total`` through the owning cache's
+    registry).  Writes are atomic (temp file + ``os.replace``) so a
+    killed sweep cannot leave a torn entry behind; ``fault_injector``
+    (a :class:`~repro.faults.sweep.SweepFaultInjector`) can tear them
+    on purpose for chaos tests.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -99,19 +98,17 @@ class ResultStore:
         return self.root / f"{key}.json"
 
     # -- corruption quarantine ----------------------------------------------
-    def quarantine(self, key: str) -> None:
-        """Move a corrupt entry aside as ``<key>.json.corrupt``."""
-        self._quarantine(self.path(key))
-
     def _quarantine(self, path: Path) -> None:
+        """Move a corrupt entry aside as ``<key>.json.corrupt``."""
         self.corrupt_entries += 1
         try:
             os.replace(path, path.with_suffix(path.suffix + ".corrupt"))
         except OSError:
             pass
 
-    # -- generic payloads ---------------------------------------------------
-    def load(self, key: str, kind: str) -> dict | None:
+    # -- scenario results ---------------------------------------------------
+    def load_scenario(self, spec: ScenarioSpec) -> ScenarioResult | None:
+        key = spec.stable_hash()
         path = self.path(key)
         try:
             with open(path) as fp:
@@ -126,7 +123,8 @@ class ResultStore:
         if not isinstance(entry, dict):
             self._quarantine(path)
             return None
-        if entry.get("schema") != SCHEMA_VERSION or entry.get("kind") != kind:
+        if (entry.get("schema") != SCHEMA_VERSION
+                or entry.get("kind") != "scenario"):
             # A legitimate older/foreign entry, not corruption: leave it
             # in place to be overwritten by the re-run.
             return None
@@ -134,12 +132,18 @@ class ResultStore:
         if not isinstance(payload, dict):
             self._quarantine(path)
             return None
-        return payload
+        try:
+            return ScenarioResult.from_dict(payload)
+        except (KeyError, TypeError, ValueError):
+            # Parsed as JSON but not as a result: payload corruption.
+            self._quarantine(path)
+            return None
 
-    def save(self, key: str, payload: dict, kind: str,
-             spec: dict | None = None) -> None:
-        entry = {"schema": SCHEMA_VERSION, "kind": kind, "key": key,
-                 "spec": spec, "payload": payload}
+    def save_scenario(self, spec: ScenarioSpec,
+                      result: ScenarioResult) -> None:
+        key = spec.stable_hash()
+        entry = {"schema": SCHEMA_VERSION, "kind": "scenario", "key": key,
+                 "spec": spec.canonical(), "payload": result.to_dict()}
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fp:
@@ -162,24 +166,6 @@ class ResultStore:
             path.write_text(raw[:max(1, len(raw) // 2)])
         except OSError:
             pass
-
-    # -- scenario results ---------------------------------------------------
-    def load_scenario(self, spec: ScenarioSpec) -> ScenarioResult | None:
-        key = spec.stable_hash()
-        payload = self.load(key, kind="scenario")
-        if payload is None:
-            return None
-        try:
-            return ScenarioResult.from_dict(payload)
-        except (KeyError, TypeError, ValueError):
-            # Parsed as JSON but not as a result: payload corruption.
-            self.quarantine(key)
-            return None
-
-    def save_scenario(self, spec: ScenarioSpec,
-                      result: ScenarioResult) -> None:
-        self.save(spec.stable_hash(), result.to_dict(), kind="scenario",
-                  spec=spec.canonical())
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))
@@ -348,7 +334,6 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 def supervised_map(fn: Callable, cells: Sequence[SweepCell], jobs: int, *,
                    timeout: float | None = None, max_retries: int = 2,
                    keep_going: bool = False,
-                   retry_policy: RetryPolicy | None = None,
                    injector=None,
                    deliver: Callable[[SweepCell, object], None] | None = None,
                    notify: Callable[[str, SweepCell, str], None] | None = None,
@@ -368,9 +353,8 @@ def supervised_map(fn: Callable, cells: Sequence[SweepCell], jobs: int, *,
     """
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-    policy = retry_policy or RetryPolicy(max_attempts=max_retries + 1,
-                                         backoff_base=0.05,
-                                         backoff_multiplier=2.0)
+    policy = RetryPolicy(max_attempts=max_retries + 1, backoff_base=0.05,
+                         backoff_multiplier=2.0)
     results: dict[int, object] = {}
     failures: list[FailureRecord] = []
 
@@ -679,7 +663,6 @@ class SweepRunner:
     def __init__(self, cache: ResultCache | None = None,
                  jobs: int = 1, *, timeout: float | None = None,
                  max_retries: int = 2, keep_going: bool = False,
-                 retry_policy: RetryPolicy | None = None,
                  injector=None, tracer=None, telemetry=None) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -692,7 +675,6 @@ class SweepRunner:
         self.timeout = timeout
         self.max_retries = max_retries
         self.keep_going = keep_going
-        self.retry_policy = retry_policy
         self.injector = injector
         self.tracer = tracer
         #: Serve plane hook (duck-typed TelemetryHub): sweep progress is
@@ -837,8 +819,8 @@ class SweepRunner:
             _, failures = supervised_map(
                 _supervised_cell, cells, self.jobs, timeout=self.timeout,
                 max_retries=self.max_retries, keep_going=self.keep_going,
-                retry_policy=self.retry_policy, injector=self.injector,
-                deliver=deliver, notify=notify, stop=self._stop)
+                injector=self.injector, deliver=deliver, notify=notify,
+                stop=self._stop)
             self.last_manifest = failures
         except SweepFailure as exc:
             self.last_manifest = exc.failures

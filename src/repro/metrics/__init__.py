@@ -28,12 +28,11 @@ __all__ = [
     "escape_help",
     "escape_label_value",
     "nearest_rank",
-    "summarize",
 ]
 
 
 def __getattr__(name):
-    if name in ("ScenarioResult", "summarize"):
-        from repro.metrics import results
-        return getattr(results, name)
+    if name == "ScenarioResult":
+        from repro.metrics.results import ScenarioResult
+        return ScenarioResult
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

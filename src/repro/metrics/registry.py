@@ -1,12 +1,14 @@
 """Prometheus-style metrics: Counter / Gauge / Histogram + registry.
 
 One :class:`MetricsRegistry` per simulated machine is the single source
-of truth for the per-layer counters that used to live in scattered stats
-dataclasses.  Stats facades (``DeviceStats``, ``CacheStats``) create
-their metrics here, so the harness can read any layer through one
-``snapshot()`` — and subsystems that keep plain attribute counters
-(fault injectors, approach degradation counters) publish through
-registered *collectors*, the same split Prometheus client libraries use.
+of truth for the per-layer counters.  A layer (block device, page
+cache, reclaim, snapshot store, FaaS node) creates its metrics here in
+``__init__`` and increments them directly; readers go through the
+registry by metric name, ``snapshot()`` for every layer at once or
+``get(name)`` for one metric.  Subsystems that keep plain attribute
+counters (fault injectors, approach degradation counters) publish
+through registered *collectors*, the same split Prometheus client
+libraries use.
 
 Histograms use fixed log2 buckets: bucket ``i`` holds observations in
 ``(base * 2**(i-1), base * 2**i]``.  Memory is O(bucket count) no matter

@@ -125,12 +125,3 @@ class ScenarioResult:
                 f"mean E2E {self.mean_e2e * 1e3:.1f} ms, "
                 f"peak mem {self.peak_memory_gib:.2f} GiB, "
                 f"{self.device_requests} I/O reqs")
-
-
-def summarize(results: list[ScenarioResult]) -> dict[str, dict[str, float]]:
-    """{function: {approach: mean_e2e}} pivot used by the figure builders."""
-    table: dict[str, dict[str, float]] = {}
-    for result in results:
-        table.setdefault(result.function, {})[result.approach] = (
-            result.mean_e2e)
-    return table

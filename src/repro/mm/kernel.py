@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.ebpf.interp import Interpreter
 from repro.ebpf.kfunc import KfuncRegistry
 from repro.ebpf.kprobe import KprobeManager
-from repro.faults.retry import RetryPolicy
 from repro.metrics.registry import MetricsRegistry
 from repro.mm.address_space import AddressSpace
 from repro.mm.costs import CostModel
@@ -35,7 +34,6 @@ class Kernel:
                  device: BlockDevice | None = None,
                  ram_bytes: int = 256 * GIB,
                  costs: CostModel | None = None,
-                 retry_policy: RetryPolicy | None = RetryPolicy(),
                  tracer: Tracer | None = None):
         self.env = env or Environment()
         #: Trace plane: one tracer per machine, shared by every subsystem
@@ -63,7 +61,6 @@ class Kernel:
         self.page_cache = PageCache(self.env, self.frames, self.filestore,
                                     self.kprobes,
                                     insert_cost=self.costs.cache_insert,
-                                    retry_policy=retry_policy,
                                     registry=self.metrics,
                                     reclaim_page_cost=self.costs.reclaim_page)
         #: The memory-pressure plane (same object the page cache owns).

@@ -60,78 +60,12 @@ class CacheEntry:
         return not self.uptodate
 
 
-class CacheStats:
-    """Page-cache counters, registry-backed (read-compatible facade).
-
-    The attribute names the old dataclass exposed are preserved as
-    properties; values live in the machine's
-    :class:`~repro.metrics.registry.MetricsRegistry` under ``cache_*``.
-    """
-
-    def __init__(self, registry: MetricsRegistry | None = None):
-        self.registry = registry or MetricsRegistry()
-        c = self.registry.counter
-        self._adds = c("cache_adds_total")
-        self._hits = c("cache_hits_total")
-        self._misses = c("cache_misses_total")
-        self._evictions = c("cache_evictions_total")
-        self._bpf_hook_seconds = c("cache_bpf_hook_seconds_total")
-        #: Transient I/O errors healed by re-issuing the read (fault plane).
-        self._io_retries = c("cache_io_retries_total")
-        #: Reads that exhausted the retry budget (or were not retryable):
-        #: pages dropped, waiters saw EIO.
-        self._io_failures = c("cache_io_failures_total")
-        #: Speculative (readahead/prefetch) fills aborted because the
-        #: frame pool was exhausted — graceful degradation, not an error.
-        self._ra_oom_aborts = c("cache_ra_oom_aborts_total")
-
-    @property
-    def adds(self) -> int:
-        return self._adds.value
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
-
-    @property
-    def bpf_hook_seconds(self) -> float:
-        return self._bpf_hook_seconds.value
-
-    @property
-    def io_retries(self) -> int:
-        return self._io_retries.value
-
-    @property
-    def io_failures(self) -> int:
-        return self._io_failures.value
-
-    @property
-    def ra_oom_aborts(self) -> int:
-        return self._ra_oom_aborts.value
-
-    def reset(self) -> None:
-        for metric in (self._adds, self._hits, self._misses,
-                       self._evictions, self._bpf_hook_seconds,
-                       self._io_retries, self._io_failures,
-                       self._ra_oom_aborts):
-            metric.reset()
-
-
 class PageCache:
     """Radix-tree-like map of (ino, index) -> CacheEntry with LRU reclaim."""
 
     def __init__(self, env: Environment, frames: FrameAllocator,
                  filestore: FileStore, kprobes: KprobeManager,
                  insert_cost: float = 0.15e-6,
-                 retry_policy: RetryPolicy | None = None,
                  registry: MetricsRegistry | None = None,
                  reclaim_page_cost: float = 0.0):
         self.env = env
@@ -141,8 +75,25 @@ class PageCache:
         self.insert_cost = insert_cost
         #: Bounded backoff-retry for transient read errors; ``None``
         #: fails waiters on the first error (the pre-fault-plane rule).
-        self.retry_policy = retry_policy
-        self.stats = CacheStats(registry)
+        self.retry_policy: RetryPolicy | None = RetryPolicy()
+        registry = registry or MetricsRegistry()
+        c = registry.counter
+        self._m_adds = c("cache_adds_total")
+        # Registered but never incremented: every stored result carries
+        # their zeros, so they stay until a schema change wires or
+        # drops them.
+        c("cache_hits_total")
+        c("cache_misses_total")
+        self._m_evictions = c("cache_evictions_total")
+        self._m_bpf_hook_seconds = c("cache_bpf_hook_seconds_total")
+        #: Transient I/O errors healed by re-issuing the read (fault plane).
+        self._m_io_retries = c("cache_io_retries_total")
+        #: Reads that exhausted the retry budget (or were not retryable):
+        #: pages dropped, waiters saw EIO.
+        self._m_io_failures = c("cache_io_failures_total")
+        #: Speculative (readahead/prefetch) fills aborted because the
+        #: frame pool was exhausted — graceful degradation, not an error.
+        self._m_ra_oom_aborts = c("cache_ra_oom_aborts_total")
         self._entries: dict[tuple[int, int], CacheEntry] = {}
         #: Per-ino presence arrays mirroring ``_entries`` keys: byte-per-
         #: page membership with the O(1) per-ino counts cached_pages()
@@ -203,11 +154,10 @@ class PageCache:
         self._entries[key] = entry
         self._present.add(ino, index)
         self.reclaim.page_added(key, entry)
-        stats = self.stats
-        stats._adds.inc()
+        self._m_adds.inc()
         cost = self.kprobes.fire(HOOK_ADD_TO_PAGE_CACHE,
                                  _HOOK_CTX.pack(ino, index))
-        stats._bpf_hook_seconds.inc(cost)
+        self._m_bpf_hook_seconds.inc(cost)
         return entry, cost + self.insert_cost
 
     # -- population -------------------------------------------------------------
@@ -258,7 +208,7 @@ class PageCache:
                         raise
                     if not oom:
                         oom = True
-                        self.stats._ra_oom_aborts.inc()
+                        self._m_ra_oom_aborts.inc()
                     continue
                 cost += add_cost
                 new_entries.append(entry)
@@ -298,7 +248,7 @@ class PageCache:
             policy = self.retry_policy
             if policy is not None and policy.should_retry(
                     attempt, getattr(error, "transient", False)):
-                self.stats._io_retries.inc()
+                self._m_io_retries.inc()
                 self.env.process(
                     self._retry(file, run_start, entries, prio, attempt),
                     name=f"pgcache-retry-{file.ino}-{run_start}-{attempt}")
@@ -341,7 +291,7 @@ class PageCache:
                    error: BaseException) -> None:
         """Media error: drop the never-uptodate pages so later faults
         retry, and surface EIO (SIGBUS-style) to current waiters."""
-        self.stats._io_failures.inc()
+        self._m_io_failures.inc()
         for entry in entries:
             self._remove_entry(entry)
             event = entry.io_event
@@ -406,7 +356,7 @@ class PageCache:
     def evict_entry(self, entry: CacheEntry) -> None:
         """Reclaim-plane eviction of one clean unmapped page."""
         self._remove_entry(entry)
-        self.stats._evictions.inc()
+        self._m_evictions.inc()
 
     def drop_caches(self) -> int:
         """Drop every clean unmapped page (echo 1 > drop_caches); returns count."""

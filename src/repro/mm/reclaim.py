@@ -176,81 +176,6 @@ def _lap(inactive: OrderedDict, parked: list) -> Iterator[tuple[int, int]]:
         take *= 2
 
 
-class ReclaimStats:
-    """Registry-backed ``reclaim_*`` counters (CacheStats-style facade)."""
-
-    def __init__(self, registry: MetricsRegistry | None = None):
-        self.registry = registry or MetricsRegistry()
-        c = self.registry.counter
-        self._scanned = c("reclaim_scanned_total")
-        self._reclaimed = c("reclaim_reclaimed_total")
-        self._kswapd_wakeups = c("reclaim_kswapd_wakeups_total")
-        self._direct = c("reclaim_direct_total")
-        self._rotations = c("reclaim_rotations_total")
-        self._activations = c("reclaim_activations_total")
-        self._promotions = c("reclaim_promotions_total")
-        self._demotions = c("reclaim_demotions_total")
-        self._policy_runs = c("reclaim_policy_runs_total")
-        self._policy_vetoes = c("reclaim_policy_vetoes_total")
-        self._hints = c("reclaim_hints_total")
-        self._hint_keeps = c("reclaim_hint_keeps_total")
-        self._stalls = c("reclaim_stalls_total")
-        self._stall_seconds = c("reclaim_stall_seconds_total")
-        self._cpu_seconds = c("reclaim_cpu_seconds_total")
-
-    @property
-    def scanned(self) -> int:
-        return int(self._scanned.value)
-
-    @property
-    def reclaimed(self) -> int:
-        return int(self._reclaimed.value)
-
-    @property
-    def kswapd_wakeups(self) -> int:
-        return int(self._kswapd_wakeups.value)
-
-    @property
-    def direct(self) -> int:
-        return int(self._direct.value)
-
-    @property
-    def rotations(self) -> int:
-        return int(self._rotations.value)
-
-    @property
-    def activations(self) -> int:
-        return int(self._activations.value)
-
-    @property
-    def policy_runs(self) -> int:
-        return int(self._policy_runs.value)
-
-    @property
-    def policy_vetoes(self) -> int:
-        return int(self._policy_vetoes.value)
-
-    @property
-    def hints(self) -> int:
-        return int(self._hints.value)
-
-    @property
-    def hint_keeps(self) -> int:
-        return int(self._hint_keeps.value)
-
-    @property
-    def stalls(self) -> int:
-        return int(self._stalls.value)
-
-    @property
-    def stall_seconds(self) -> float:
-        return self._stall_seconds.value
-
-    @property
-    def cpu_seconds(self) -> float:
-        return self._cpu_seconds.value
-
-
 class ReclaimController:
     """One machine's reclaim state: LRU lists, watermarks, kswapd, and
     the eviction-policy attach point.
@@ -270,7 +195,22 @@ class ReclaimController:
         self.kprobes = kprobes
         self.reclaim_page_cost = reclaim_page_cost
         self.lru = LruLists()
-        self.stats = ReclaimStats(registry)
+        c = (registry or MetricsRegistry()).counter
+        self._m_scanned = c("reclaim_scanned_total")
+        self._m_reclaimed = c("reclaim_reclaimed_total")
+        self._m_kswapd_wakeups = c("reclaim_kswapd_wakeups_total")
+        self._m_direct = c("reclaim_direct_total")
+        self._m_rotations = c("reclaim_rotations_total")
+        self._m_activations = c("reclaim_activations_total")
+        self._m_promotions = c("reclaim_promotions_total")
+        self._m_demotions = c("reclaim_demotions_total")
+        self._m_policy_runs = c("reclaim_policy_runs_total")
+        self._m_policy_vetoes = c("reclaim_policy_vetoes_total")
+        self._m_hints = c("reclaim_hints_total")
+        self._m_hint_keeps = c("reclaim_hint_keeps_total")
+        self._m_stalls = c("reclaim_stalls_total")
+        self._m_stall_seconds = c("reclaim_stall_seconds_total")
+        self._m_cpu_seconds = c("reclaim_cpu_seconds_total")
         #: Off until :meth:`enable_watermarks`; ``None`` keeps seed
         #: semantics (direct reclaim on exhaustion only, no kswapd).
         self.watermarks: Watermarks | None = None
@@ -300,7 +240,7 @@ class ReclaimController:
 
     def page_touched(self, key) -> None:
         if self.lru.touch(key) == "promoted":
-            self.stats._promotions.inc()
+            self._m_promotions.inc()
 
     def page_removed(self, key) -> None:
         self.lru.remove(key)
@@ -311,7 +251,7 @@ class ReclaimController:
             self.hints.discard(ino, index)
         else:
             self.hints.set(ino, index, hint)
-        self.stats._hints.inc()
+        self._m_hints.inc()
 
     # -- allocator integration ------------------------------------------------
     def throttle_alloc(self) -> None:
@@ -360,12 +300,12 @@ class ReclaimController:
         while True:
             self._wake = self.env.event()
             yield self._wake
-            self.stats._kswapd_wakeups.inc()
+            self._m_kswapd_wakeups.inc()
             if self.fault_injector is not None:
                 stall = self.fault_injector.on_wakeup()
                 if stall > 0.0:
-                    self.stats._stalls.inc()
-                    self.stats._stall_seconds.inc(stall)
+                    self._m_stalls.inc()
+                    self._m_stall_seconds.inc(stall)
                     tracer = self.env.tracer
                     if tracer is not None and tracer.enabled:
                         tracer.instant("reclaim stall", "reclaim",
@@ -382,7 +322,7 @@ class ReclaimController:
                     break  # nothing reclaimable; direct reclaim decides
                 cost = freed * self.reclaim_page_cost + self.pending_cost
                 self.pending_cost = 0.0
-                self.stats._cpu_seconds.inc(freed * self.reclaim_page_cost)
+                self._m_cpu_seconds.inc(freed * self.reclaim_page_cost)
                 yield self.env.timeout(cost)
                 tracer = self.env.tracer
                 if tracer is not None and tracer.enabled:
@@ -398,7 +338,7 @@ class ReclaimController:
         First a policy-respecting pass, then a desperate pass that
         ignores referenced bits, hints, and policy verdicts — but never
         touches mapped or under-I/O pages."""
-        self.stats._direct.inc()
+        self._m_direct.inc()
         freed = self.shrink(need)
         if freed < need:
             freed += self.shrink(need - freed, desperate=True)
@@ -435,7 +375,7 @@ class ReclaimController:
         """shrink_active_list: demote up to ``limit`` cold active pages."""
         for key in list(islice(self.lru.active, limit)):
             self.lru.demote(key)
-            self.stats._demotions.inc()
+            self._m_demotions.inc()
 
     def _scan_inactive(self, nr_to_reclaim: int, desperate: bool) -> int:
         """shrink_inactive_list: one lap over the inactive list as it
@@ -454,31 +394,31 @@ class ReclaimController:
             elif freed >= nr_to_reclaim:
                 break
             entry = inactive[key]
-            self.stats._scanned.inc()
+            self._m_scanned.inc()
             if entry.locked:
                 self.lru.rotate(key)
-                self.stats._rotations.inc()
+                self._m_rotations.inc()
                 continue
             if entry.frame.mapcount > 0:
                 self.lru.activate(key)
-                self.stats._activations.inc()
+                self._m_activations.inc()
                 continue
             hint = self.hints.get(key[0], key[1], HINT_CLEAR)
             if not desperate:
                 if hint == HINT_KEEP:
                     self.lru.rotate(key)
-                    self.stats._hint_keeps.inc()
+                    self._m_hint_keeps.inc()
                     continue
                 if entry.referenced and hint != HINT_COLD:
                     entry.referenced = False
                     self.lru.rotate(key)
-                    self.stats._rotations.inc()
+                    self._m_rotations.inc()
                     continue
             if policy:
                 verdict = self._policy_verdict(key, nr_to_reclaim - freed)
                 if verdict == VERDICT_VETO:
                     self.lru.rotate(key)
-                    self.stats._policy_vetoes.inc()
+                    self._m_policy_vetoes.inc()
                     continue
                 sort_key = ((0, seq) if hint == HINT_COLD
                             else (1, verdict, seq))
@@ -499,15 +439,15 @@ class ReclaimController:
         ino, index = key
         ctx = pack_u64(ino, index, self.frames.free_frames, need)
         verdict, cost = self.kprobes.fire_verdict(HOOK_MM_EVICT, ctx)
-        self.stats._policy_runs.inc()
+        self._m_policy_runs.inc()
         if cost:
             self.pending_cost += cost
-            self.stats._cpu_seconds.inc(cost)
+            self._m_cpu_seconds.inc(cost)
         return VERDICT_DEFAULT if verdict is None else verdict
 
     def _evict(self, key: tuple[int, int], entry) -> None:
         self.page_cache.evict_entry(entry)
-        self.stats._reclaimed.inc()
+        self._m_reclaimed.inc()
         self.eviction_log.append(key)
 
 

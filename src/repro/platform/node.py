@@ -25,7 +25,7 @@ from repro.baselines.base import Approach, approach_registry
 from repro.cluster.keepalive import FixedTTLPolicy, KeepAlivePolicy
 from repro.metrics.registry import nearest_rank
 from repro.mm.kernel import Kernel
-from repro.platform.workload import Arrival, MemorySample
+from repro.platform.workload import Arrival
 from repro.units import USEC
 from repro.vmm.microvm import MicroVM
 from repro.workloads.profile import FunctionProfile
@@ -56,7 +56,6 @@ class NodeReport:
     """Aggregate outcome of a workload run."""
 
     results: list[RequestResult]
-    memory_timeline: list[MemorySample]
     peak_memory_bytes: int
 
     def latencies(self, cold: bool | None = None) -> list[float]:
@@ -123,7 +122,6 @@ class FaaSNode:
         self.profiles = {p.name: p for p in profiles}
         self.approaches: dict[str, Approach] = {
             p.name: factory(kernel) for p in profiles}
-        self.warm_pool_ttl = warm_pool_ttl
         #: Keep-alive policy deciding park TTLs and pre-warm windows.
         #: Default reproduces the historic fixed-TTL path exactly.
         self.keepalive = (keepalive if keepalive is not None
@@ -337,24 +335,11 @@ class FaaSNode:
         env.process(prewarm(), name=f"prewarm-{function}")
 
     # -- workload driver ----------------------------------------------------------------
-    def run(self, arrivals: list[Arrival],
-            sample_interval: float = 0.05) -> NodeReport:
+    def run(self, arrivals: list[Arrival]) -> NodeReport:
         """Drive a full workload to completion; returns the report."""
         env = self.kernel.env
         if not self.prepared:
             env.run(env.process(self.prepare(), name="node-prepare"))
-
-        timeline: list[MemorySample] = []
-        done = {"flag": False}
-
-        def sampler():
-            while not done["flag"]:
-                timeline.append(MemorySample(env.now,
-                                             self.kernel.frames.in_use
-                                             * 4096))
-                yield env.timeout(sample_interval)
-
-        env.process(sampler(), name="memory-sampler")
         base = env.now
 
         def request(arrival: Arrival):
@@ -364,14 +349,11 @@ class FaaSNode:
 
         processes = [env.process(request(a), name=f"req-{i}")
                      for i, a in enumerate(arrivals)]
-        gate = env.all_of(processes)
-        env.run(gate)
-        done["flag"] = True
-        env.run()  # drain reapers and the sampler
+        env.run(env.all_of(processes))
+        env.run()  # drain reapers
 
         return NodeReport(
             results=[p.value for p in processes],
-            memory_timeline=timeline,
             peak_memory_bytes=self.kernel.frames.peak_bytes)
 
     def shutdown(self) -> int:

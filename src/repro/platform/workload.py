@@ -18,12 +18,6 @@ class Arrival:
     input_seed: int
 
 
-@dataclass(frozen=True)
-class MemorySample:
-    time: float
-    bytes_in_use: int
-
-
 def poisson_arrivals(mix: list[tuple[FunctionProfile, float]],
                      duration: float, seed: int = 0,
                      vary_inputs: bool = False) -> list[Arrival]:

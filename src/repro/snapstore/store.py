@@ -52,8 +52,7 @@ class SnapStore:
     def __init__(self, env: Environment, spec: SnapStoreSpec, *,
                  chunks: ChunkRegistry | None = None,
                  remote: RemoteObjectStore | None = None,
-                 metrics=None,
-                 retry_policy: RetryPolicy | None = None):
+                 metrics=None):
         self.env = env
         self.spec = spec
         # NB: `is not None`, not truthiness — a shared registry arrives
@@ -83,8 +82,7 @@ class SnapStore:
         #: every remote fetch consults ``fault_injector.on_fetch`` and
         #: may stall or fail (feeding the retry ladder below).
         self.fault_injector = None
-        self.retry_policy = (retry_policy if retry_policy is not None
-                             else RetryPolicy())
+        self.retry_policy = RetryPolicy()
         self._init_metrics(metrics)
 
     def _init_metrics(self, registry) -> None:
@@ -400,8 +398,8 @@ class SnapStore:
                 break
             attempt += 1
             policy = self.retry_policy
-            if policy is not None and policy.should_retry(
-                    attempt, getattr(error, "transient", True)):
+            if policy.should_retry(attempt,
+                                   getattr(error, "transient", True)):
                 if self._m_retries is not None:
                     self._m_retries.inc()
                 yield env.timeout(policy.backoff(attempt))

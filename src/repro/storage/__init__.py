@@ -8,12 +8,7 @@ interface, plus a minimal extent-based :class:`FileStore` that places
 files on a device and tracks per-page content identities.
 """
 
-from repro.storage.device import (
-    BlockDevice,
-    BlockIOError,
-    DeviceStats,
-    IORequest,
-)
+from repro.storage.device import BlockDevice, BlockIOError, IORequest
 from repro.storage.filestore import File, FileStore, TornPageError
 from repro.storage.hdd import HDDevice
 from repro.storage.remote import RemoteObjectStore
@@ -22,7 +17,6 @@ from repro.storage.ssd import SSDevice
 __all__ = [
     "BlockDevice",
     "BlockIOError",
-    "DeviceStats",
     "File",
     "FileStore",
     "HDDevice",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.metrics.registry import Histogram, MetricsRegistry
+from repro.metrics.registry import MetricsRegistry
 from repro.sim import Environment, Event, Resource, Timeout
 from repro.sim.engine import URGENT
 
@@ -66,141 +66,8 @@ class BlockIOError(IOError):
         self.transient = transient
 
 
-
-class DeviceStats:
-    """Cumulative accounting used by the figures (I/O amplification).
-
-    A read-compatible facade over registry metrics: every counter the old
-    dataclass exposed is still an attribute here, but the values live in
-    the machine's :class:`~repro.metrics.registry.MetricsRegistry` so the
-    harness can read all layers through one ``snapshot()``.  Per-request
-    latency is a fixed log2-bucket :class:`Histogram` (O(1) memory per
-    request instead of an unbounded list) with p50/p95/p99 accessors.
-    """
-
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-        c = registry.counter
-        self._requests = c("device_requests_total")
-        self._read_requests = c("device_read_requests_total")
-        self._write_requests = c("device_write_requests_total")
-        self._bytes_read = c("device_bytes_read_total")
-        self._bytes_written = c("device_bytes_written_total")
-        self._sequential = c("device_sequential_requests_total")
-        self._errors = c("device_errors_total")
-        self._transient_errors = c("device_transient_errors_total")
-        self._persistent_errors = c("device_persistent_errors_total")
-        self._busy_time = c("device_busy_seconds_total")
-        #: Per-request wall latency, submission to completion.
-        self.latency: Histogram = registry.histogram(
-            "device_request_latency_seconds",
-            help="per-request wall latency, queueing included")
-
-    # -- recording (called by BlockDevice only) ----------------------------
-    def record_success(self, request: IORequest, sequential: bool,
-                       duration: float) -> None:
-        self._requests.inc()
-        self._busy_time.inc(duration)
-        self.latency.observe(duration)
-        if sequential:
-            self._sequential.inc()
-        if request.op == READ:
-            self._read_requests.inc()
-            self._bytes_read.inc(request.nbytes)
-        else:
-            self._write_requests.inc()
-            self._bytes_written.inc(request.nbytes)
-
-    def record_failure(self, duration: float, transient: bool) -> None:
-        """Failed requests still occupied the device for their service
-        time: charge busy time and latency, but none of the success
-        counters (requests/bytes/sequential)."""
-        self._errors.inc()
-        (self._transient_errors if transient
-         else self._persistent_errors).inc()
-        self._busy_time.inc(duration)
-        self.latency.observe(duration)
-
-    # -- read-compatible counter views -------------------------------------
-    @property
-    def requests(self) -> int:
-        return self._requests.value
-
-    @property
-    def read_requests(self) -> int:
-        return self._read_requests.value
-
-    @property
-    def write_requests(self) -> int:
-        return self._write_requests.value
-
-    @property
-    def bytes_read(self) -> int:
-        return self._bytes_read.value
-
-    @property
-    def bytes_written(self) -> int:
-        return self._bytes_written.value
-
-    @property
-    def sequential_requests(self) -> int:
-        return self._sequential.value
-
-    @property
-    def errors(self) -> int:
-        return self._errors.value
-
-    @property
-    def transient_errors(self) -> int:
-        return self._transient_errors.value
-
-    @property
-    def persistent_errors(self) -> int:
-        return self._persistent_errors.value
-
-    @property
-    def busy_time(self) -> float:
-        return self._busy_time.value
-
-    @property
-    def bytes_total(self) -> int:
-        return self.bytes_read + self.bytes_written
-
-    # -- latency percentiles (report columns) ------------------------------
-    @property
-    def p50_latency(self) -> float:
-        return self.latency.percentile(50)
-
-    @property
-    def p95_latency(self) -> float:
-        return self.latency.percentile(95)
-
-    @property
-    def p99_latency(self) -> float:
-        return self.latency.percentile(99)
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "requests": self.requests,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "sequential_requests": self.sequential_requests,
-            "errors": self.errors,
-            "busy_time": self.busy_time,
-        }
-
-    def reset(self) -> None:
-        """Zero this device's metrics in place (other layers untouched)."""
-        for metric in (self._requests, self._read_requests,
-                       self._write_requests, self._bytes_read,
-                       self._bytes_written, self._sequential, self._errors,
-                       self._transient_errors, self._persistent_errors,
-                       self._busy_time, self.latency):
-            metric.reset()
-
-
 class BlockDevice:
-    """Base class: queue admission + stats; timing left to subclasses.
+    """Base class: queue admission + accounting; timing left to subclasses.
 
     Service is a two-stage pipeline: a serialized *controller/bus* stage
     (capacity 1 — this is what caps aggregate IOPS and bandwidth) followed
@@ -223,8 +90,24 @@ class BlockDevice:
         #: The machine-wide metrics registry; a standalone device (tests,
         #: examples) gets a private one, and the Kernel adopts whichever
         #: registry its device carries so all layers share it.
-        self.registry = registry or MetricsRegistry()
-        self.stats = DeviceStats(self.registry)
+        registry = self.registry = registry or MetricsRegistry()
+        # Cumulative accounting for the figures (I/O amplification).
+        c = registry.counter
+        self._m_requests = c("device_requests_total")
+        self._m_read_requests = c("device_read_requests_total")
+        self._m_write_requests = c("device_write_requests_total")
+        self._m_bytes_read = c("device_bytes_read_total")
+        self._m_bytes_written = c("device_bytes_written_total")
+        self._m_sequential = c("device_sequential_requests_total")
+        self._m_errors = c("device_errors_total")
+        self._m_transient_errors = c("device_transient_errors_total")
+        self._m_persistent_errors = c("device_persistent_errors_total")
+        self._m_busy_time = c("device_busy_seconds_total")
+        #: Per-request wall latency, submission to completion: bounded
+        #: log2 buckets, read as percentiles.
+        self._m_latency = registry.histogram(
+            "device_request_latency_seconds",
+            help="per-request wall latency, queueing included")
         self._slots = Resource(env, capacity=queue_depth)
         self._controller = Resource(env, capacity=1)
         self._last_end: int | None = None
@@ -276,8 +159,14 @@ class BlockDevice:
 
     # -- misc -----------------------------------------------------------------
     def reset_stats(self) -> None:
-        """Zero the device counters in place (the stats object survives)."""
-        self.stats.reset()
+        """Zero this device's metrics in place (other layers untouched)."""
+        for metric in (self._m_requests, self._m_read_requests,
+                       self._m_write_requests, self._m_bytes_read,
+                       self._m_bytes_written, self._m_sequential,
+                       self._m_errors, self._m_transient_errors,
+                       self._m_persistent_errors, self._m_busy_time,
+                       self._m_latency):
+            metric.reset()
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<{type(self).__name__} {self.name} "
@@ -344,11 +233,26 @@ class _Service:
         decision = self.decision
         failed = decision is not None and decision.error is not None
         device._trace_request(request, self.start, self.sequential, failed)
+        # A failed request still occupied the device for its service
+        # time: busy time and latency are charged either way, the
+        # request, byte and sequential counters on success only.
+        device._m_busy_time.inc(duration)
+        device._m_latency.observe(duration)
         if failed:
             transient = decision.error != "persistent"
-            device.stats.record_failure(duration, transient)
+            device._m_errors.inc()
+            (device._m_transient_errors if transient
+             else device._m_persistent_errors).inc()
             self.done.fail(BlockIOError(request, transient=transient),
                            priority=URGENT)
             return
-        device.stats.record_success(request, self.sequential, duration)
+        device._m_requests.inc()
+        if self.sequential:
+            device._m_sequential.inc()
+        if request.op == READ:
+            device._m_read_requests.inc()
+            device._m_bytes_read.inc(request.nbytes)
+        else:
+            device._m_write_requests.inc()
+            device._m_bytes_written.inc(request.nbytes)
         self.done.succeed(request, priority=URGENT)

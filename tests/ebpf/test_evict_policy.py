@@ -56,7 +56,7 @@ def test_protect_head_vetoes_until_unprotected_pages_exist():
     kernel.page_cache.populate(file, 200, 2)
     kernel.env.run()
     assert kernel.reclaim.eviction_log == [(file.ino, 64), (file.ino, 65)]
-    assert kernel.reclaim.stats.policy_vetoes > 0
+    assert kernel.metrics.get("reclaim_policy_vetoes_total").value > 0
 
 
 def test_desperate_pass_overrides_vetoes_instead_of_oom():
@@ -96,10 +96,12 @@ def test_policy_that_fills_the_cache_never_reenters_reclaim():
     reclaim = kernel.reclaim
     # Four direct reclaims over 16, 15, 14 and 13 unlocked pages; every
     # fill found the pool full and aborted.
-    assert reclaim.stats.policy_runs == 58
-    assert kernel.page_cache.stats.ra_oom_aborts == 58
+    metrics = kernel.metrics.snapshot()
+    assert metrics["reclaim_policy_runs_total"] == 58
+    assert metrics["cache_ra_oom_aborts_total"] == 58
     assert reclaim.eviction_log == [(file.ino, i) for i in range(4)]
-    assert reclaim.stats.reclaimed == kernel.page_cache.stats.evictions == 4
+    assert (metrics["reclaim_reclaimed_total"]
+            == metrics["cache_evictions_total"] == 4)
     assert all(kernel.page_cache.resident(file.ino, i)
                for i in range(100, 104))
 
@@ -187,4 +189,4 @@ def test_evict_hint_keep_pins_page_against_reclaim():
     kernel.env.run()
     assert kernel.page_cache.resident(file.ino, 0)  # pinned by the hint
     assert not kernel.page_cache.resident(file.ino, 1)
-    assert kernel.reclaim.stats.hint_keeps >= 1
+    assert kernel.metrics.get("reclaim_hint_keeps_total").value >= 1

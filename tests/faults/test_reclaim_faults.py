@@ -53,11 +53,11 @@ def test_forced_stall_reaches_kswapd_through_install(env):
     kernel.page_cache.populate(file, 100, 1)  # dips below the low mark
     env.run()
 
-    stats = kernel.reclaim.stats
-    assert stats.kswapd_wakeups == 1
+    metrics = kernel.metrics.snapshot()
+    assert metrics["reclaim_kswapd_wakeups_total"] == 1
     assert schedule.mm.reclaim_stalls == 1
-    assert stats.stalls == 1
-    assert stats.stall_seconds == pytest.approx(
+    assert metrics["reclaim_stalls_total"] == 1
+    assert metrics["reclaim_stall_seconds_total"] == pytest.approx(
         FaultConfig().reclaim_stall_seconds)
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.baselines.base import approach_registry
 from repro.harness.experiment import ResultCache, make_kernel, run_scenario
 from repro.harness.spec import ScenarioSpec
-from repro.metrics.results import summarize
 
 
 def test_registry_contains_all_seven_approaches():
@@ -69,10 +68,3 @@ def test_result_cache_memoizes(tiny_profile):
     assert len(cache) == 1
     cache.get(ScenarioSpec(tiny_profile, "linux-nora", n_instances=2))
     assert len(cache) == 2
-
-
-def test_summarize_pivot(tiny_profile):
-    results = [run_scenario(ScenarioSpec(tiny_profile, "linux-nora")),
-               run_scenario(ScenarioSpec(tiny_profile, "snapbpf"))]
-    table = summarize(results)
-    assert set(table["tiny"]) == {"linux-nora", "snapbpf"}

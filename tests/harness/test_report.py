@@ -1,14 +1,7 @@
 """Report rendering edge cases."""
 
 from repro.harness.figures import FigureData
-from repro.harness.report import (
-    render_figure,
-    render_scenarios,
-    render_table,
-    scenario_rows,
-)
-from repro.metrics.results import ScenarioResult
-from repro.vmm.microvm import InvocationStats
+from repro.harness.report import render_figure, render_table
 
 
 def test_empty_rows():
@@ -35,37 +28,3 @@ def test_figure_without_notes():
     data = FigureData(figure="9", ylabel="y", functions=["f1"],
                       series={"s": [1.0]})
     assert "[" not in render_figure(data).splitlines()[0]
-
-
-def _scenario(latencies=(0.1, 0.2, 0.3)):
-    return ScenarioResult(
-        function="json", approach="snapbpf", n_instances=len(latencies),
-        invocations=[InvocationStats(vm_id=f"vm{i}", e2e_seconds=lat)
-                     for i, lat in enumerate(latencies)],
-        device_requests=7,
-        device_p50_latency=100e-6, device_p95_latency=250e-6,
-        device_p99_latency=300e-6)
-
-
-def test_scenario_rows_have_percentile_columns():
-    rows = scenario_rows([_scenario()])
-    header, row = rows
-    for column in ("p50 (ms)", "p95 (ms)", "p99 (ms)",
-                   "dev p50 (us)", "dev p95 (us)", "dev p99 (us)"):
-        assert column in header
-    # p50 of (100, 200, 300) ms -> 200.0; device p95 250 us.
-    assert row[header.index("p50 (ms)")] == "200.0"
-    assert row[header.index("dev p95 (us)")] == "250"
-
-
-def test_render_scenarios_table():
-    text = render_scenarios([_scenario()], title="Scenario summary")
-    assert "Scenario summary" in text
-    assert "json" in text and "snapbpf" in text
-    assert "p99 (ms)" in text
-
-
-def test_scenario_rows_empty_result():
-    rows = scenario_rows([ScenarioResult(function="f", approach="a",
-                                         n_instances=0)])
-    assert rows[1][rows[0].index("mean E2E (ms)")] == "0.0"

@@ -20,7 +20,7 @@ def test_racing_faulters_wait_on_one_io(kernel):
     for space in spaces:
         kernel.env.process(space.handle_fault(1000, False))
     kernel.env.run()
-    assert kernel.device.stats.requests == 1
+    assert kernel.metrics.get("device_requests_total").value == 1
     frame = spaces[0].pte(1000)[0]
     assert all(space.pte(1000)[0] is frame for space in spaces)
     assert frame.mapcount == 8

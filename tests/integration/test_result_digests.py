@@ -33,6 +33,10 @@ reach:
   the autoscaler, attaches an eviction policy on every boot, shares
   one snapshot store across nodes and runs kswapd on each node.
 
+Three chaos cells pin the fault plane's serving path: json served by
+one node under the standard fault mix (fault seed 7), for snapbpf,
+linux-ra and reap.
+
 Two fleet paths are pinned outside ``run_scenario``: the node crasher
 (the fault plane's ``FaultConfig`` passed to ``run_cluster``), by its
 report's fingerprint, and the service times ``calibrate_service_times``
@@ -58,7 +62,7 @@ from repro.baselines.base import approach_registry
 from repro.cluster.runner import run_cluster
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.traffic import calibrate_service_times
-from repro.faults import FaultConfig
+from repro.faults import ChaosSpec, FaultConfig
 from repro.harness.experiment import make_kernel
 from repro.harness.figures import pressure_ram_bytes
 from repro.sim import Environment
@@ -179,6 +183,16 @@ FLEET_PINS = {
         162149),
 }
 
+#: approach -> sha256 of ScenarioResult.to_json() for json's chaos cell.
+CHAOS_PINS = {
+    "snapbpf":
+        "ac338d4f7a7e1899075e7e7659e2440e3936e416180c9c0c40cbfa8f6ac02967",
+    "linux-ra":
+        "633403aa5f534486371970d767d0af22ed67f2e236cf6ac92249debf18955ba5",
+    "reap":
+        "8abf4ab0d14bd16bc0aa1d88d62fb91074eba491940425cb0cf7ada3d5bbd1df",
+}
+
 #: Long requests on three nodes keep work in flight for the crasher:
 #: 2 crashes, 2 reroutes.
 CRASH_SPEC = ScenarioSpec(
@@ -260,6 +274,14 @@ def test_fleet_result_digest(label, environments):
     digest = hashlib.sha256(result.to_json().encode()).hexdigest()
     events = sum(env.events_processed for env in environments)
     assert (digest, events) == FLEET_PINS[label]
+
+
+@pytest.mark.parametrize("approach", list(CHAOS_PINS))
+def test_chaos_result_digest(approach):
+    result = run_scenario(ScenarioSpec(
+        "json", approach, chaos=ChaosSpec(fault_seed=7)))
+    digest = hashlib.sha256(result.to_json().encode()).hexdigest()
+    assert digest == CHAOS_PINS[approach]
 
 
 def test_node_crash_fleet_digest(environments):

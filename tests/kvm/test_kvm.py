@@ -98,7 +98,7 @@ class TestPvFault:
         frame, _writable = kvm.space.pte(kvm.host_vpn(100))
         assert frame.kind == "anon" and frame.content == 0
         # No snapshot I/O happened.
-        assert kernel.device.stats.requests == 0
+        assert kernel.metrics.get("device_requests_total").value == 0
 
     def test_both_aliases_mapped(self, kernel, file):
         """Paper Fig. 2 step 6: the anonymous page is mapped under the

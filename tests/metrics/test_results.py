@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.results import ScenarioResult, summarize
+from repro.metrics.results import ScenarioResult
 from repro.units import GIB
 from repro.vmm.microvm import InvocationStats
 
@@ -97,12 +97,3 @@ def test_to_dict_copies_containers():
     data["invocations"][0]["e2e_seconds"] = 99.0
     assert "injected" not in result.extra
     assert result.invocations[0].e2e_seconds == 1.0
-
-
-def test_summarize_pivots_by_function_and_approach():
-    table = summarize([
-        make_result("f1", "a1", (1.0,)),
-        make_result("f1", "a2", (2.0,)),
-        make_result("f2", "a1", (3.0,)),
-    ])
-    assert table == {"f1": {"a1": 1.0, "a2": 2.0}, "f2": {"a1": 3.0}}

@@ -36,31 +36,31 @@ def snapshot_scan_inactive(self, nr_to_reclaim: int, desperate: bool) -> int:
         entry = self.lru.inactive.get(key)
         if entry is None:
             continue
-        self.stats._scanned.inc()
+        self._m_scanned.inc()
         if entry.locked:
             self.lru.rotate(key)
-            self.stats._rotations.inc()
+            self._m_rotations.inc()
             continue
         if entry.frame.mapcount > 0:
             self.lru.activate(key)
-            self.stats._activations.inc()
+            self._m_activations.inc()
             continue
         hint = self.hints.get(key[0], key[1], HINT_CLEAR)
         if not desperate:
             if hint == HINT_KEEP:
                 self.lru.rotate(key)
-                self.stats._hint_keeps.inc()
+                self._m_hint_keeps.inc()
                 continue
             if entry.referenced and hint != HINT_COLD:
                 entry.referenced = False
                 self.lru.rotate(key)
-                self.stats._rotations.inc()
+                self._m_rotations.inc()
                 continue
         if policy:
             verdict = self._policy_verdict(key, nr_to_reclaim - freed)
             if verdict == VERDICT_VETO:
                 self.lru.rotate(key)
-                self.stats._policy_vetoes.inc()
+                self._m_policy_vetoes.inc()
                 continue
             sort_key = ((0, seq) if hint == HINT_COLD
                         else (1, verdict, seq))

@@ -115,8 +115,8 @@ def test_full_pool_without_watermarks_direct_reclaims_one_frame(env):
     assert kernel.frames.free_frames == 0
     frame = kernel.frames.alloc(ANON, owner="vm0")
     assert frame.kind == ANON
-    assert kernel.reclaim.stats.direct == 1
-    assert kernel.reclaim.stats.reclaimed == 1
+    assert kernel.metrics.get("reclaim_direct_total").value == 1
+    assert kernel.metrics.get("reclaim_reclaimed_total").value == 1
     assert kernel.frames.free_frames == 0
 
 
@@ -127,8 +127,8 @@ def test_crossing_low_watermark_wakes_kswapd(env):
     kernel.page_cache.populate(file, 0, 64 - wm.low_frames)
     env.run()
     assert kernel.frames.free_frames == wm.low_frames
-    assert kernel.reclaim.stats.kswapd_wakeups == 0
+    assert kernel.metrics.get("reclaim_kswapd_wakeups_total").value == 0
     kernel.frames.alloc(ANON, owner="vm0")  # free sinks below low
     env.run()
-    assert kernel.reclaim.stats.kswapd_wakeups == 1
+    assert kernel.metrics.get("reclaim_kswapd_wakeups_total").value == 1
     assert kernel.frames.free_frames >= wm.high_frames

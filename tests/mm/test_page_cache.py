@@ -50,7 +50,7 @@ class TestPopulate:
     def test_populate_reads_contiguous_run_as_one_request(self, kernel, file):
         kernel.page_cache.populate(file, 0, 32)
         kernel.env.run()
-        assert kernel.device.stats.requests == 1
+        assert kernel.metrics.get("device_requests_total").value == 1
         assert kernel.page_cache.resident(file.ino, 0)
         assert kernel.page_cache.resident(file.ino, 31)
 
@@ -61,7 +61,8 @@ class TestPopulate:
         _cost, new = kernel.page_cache.populate(file, 0, 16)
         kernel.env.run()
         assert len(new) == 8
-        assert kernel.device.stats.requests == 1  # only [8, 16)
+        # Only [8, 16) is read.
+        assert kernel.metrics.get("device_requests_total").value == 1
 
     def test_populate_holes_issue_separate_requests(self, kernel, file):
         kernel.page_cache.populate(file, 4, 4)
@@ -69,7 +70,8 @@ class TestPopulate:
         kernel.device.reset_stats()
         kernel.page_cache.populate(file, 0, 16)  # hole at [4, 8)
         kernel.env.run()
-        assert kernel.device.stats.requests == 2  # [0,4) and [8,16)
+        # [0, 4) and [8, 16).
+        assert kernel.metrics.get("device_requests_total").value == 2
 
     def test_content_tokens_filled_after_io(self, kernel, file):
         kernel.page_cache.populate(file, 5, 1)
@@ -111,7 +113,7 @@ class TestWaiting:
         kernel.env.process(reader())
         kernel.env.process(reader())
         kernel.env.run()
-        assert kernel.device.stats.requests == 1
+        assert kernel.metrics.get("device_requests_total").value == 1
         assert kernel.frames.counters.file == 8  # one copy, shared
 
 
@@ -162,7 +164,7 @@ class TestReclaim:
         # Pool is full of cache pages; next insert must evict the LRU one.
         small.page_cache.populate(f, 100, 1)
         env.run()
-        assert small.page_cache.stats.evictions >= 1
+        assert small.metrics.get("cache_evictions_total").value >= 1
         assert not small.page_cache.resident(f.ino, 0)  # LRU head gone
 
     def test_forget_requires_unmapped_uptodate(self, kernel, file):
@@ -179,7 +181,7 @@ class TestStats:
     def test_adds_counted(self, kernel, file):
         kernel.page_cache.populate(file, 0, 10)
         kernel.env.run()
-        assert kernel.page_cache.stats.adds == 10
+        assert kernel.metrics.get("cache_adds_total").value == 10
 
     def test_cached_pages_by_ino(self, kernel, file):
         other = kernel.filestore.create("other", MIB)

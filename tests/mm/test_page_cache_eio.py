@@ -38,7 +38,7 @@ def test_concurrent_waiters_all_see_eio(kernel, faults):
     # The failed entries are gone and their frames freed.
     assert kernel.page_cache.cached_pages() == 0
     assert kernel.frames.in_use == 0
-    assert kernel.page_cache.stats.io_failures == 1
+    assert kernel.metrics.get("cache_io_failures_total").value == 1
     # A later populate starts from scratch and succeeds.
     kernel.page_cache.populate(file, 0, 4)
     kernel.env.run()
@@ -59,9 +59,9 @@ def test_retry_heals_transient_error_invisibly(kernel, faults):
 
     assert drive(kernel.env, waiter()) is entry
     assert all(kernel.page_cache.resident(file.ino, i) for i in range(8))
-    assert kernel.page_cache.stats.io_retries == 1
-    assert kernel.page_cache.stats.io_failures == 0
-    assert kernel.device.stats.errors == 1
+    assert kernel.metrics.get("cache_io_retries_total").value == 1
+    assert kernel.metrics.get("cache_io_failures_total").value == 0
+    assert kernel.metrics.get("device_errors_total").value == 1
 
 
 def test_retry_budget_exhaustion_surfaces_eio(kernel, faults):
@@ -78,8 +78,8 @@ def test_retry_budget_exhaustion_surfaces_eio(kernel, faults):
         return "eio"
 
     assert drive(kernel.env, waiter()) == "eio"
-    assert kernel.page_cache.stats.io_retries == 2
-    assert kernel.page_cache.stats.io_failures == 1
+    assert kernel.metrics.get("cache_io_retries_total").value == 2
+    assert kernel.metrics.get("cache_io_failures_total").value == 1
     assert kernel.page_cache.cached_pages() == 0
     assert kernel.frames.in_use == 0
 
@@ -89,8 +89,8 @@ def test_persistent_error_is_not_retried(kernel, faults):
     kernel.device.fault_injector.fail_next(persistent=True)
     kernel.page_cache.populate(file, 0, 2)
     kernel.env.run()
-    assert kernel.page_cache.stats.io_retries == 0
-    assert kernel.page_cache.stats.io_failures == 1
+    assert kernel.metrics.get("cache_io_retries_total").value == 0
+    assert kernel.metrics.get("cache_io_failures_total").value == 1
     assert kernel.page_cache.cached_pages() == 0
 
 
@@ -119,5 +119,5 @@ def test_torn_page_heals_through_retry(kernel, faults):
     kernel.page_cache.populate(file, 0, 4)
     kernel.env.run()
     assert all(kernel.page_cache.resident(file.ino, i) for i in range(4))
-    assert kernel.page_cache.stats.io_retries == 1
+    assert kernel.metrics.get("cache_io_retries_total").value == 1
     assert kernel.faults.stats.torn_pages == 1

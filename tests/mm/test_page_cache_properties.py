@@ -78,10 +78,10 @@ def test_populate_is_idempotent_and_complete(windows):
                 if kernel.page_cache.resident(file.ino, index)}
     assert resident == requested
     # Re-populating everything is a no-op I/O-wise.
-    reads_before = kernel.device.stats.requests
+    reads_before = kernel.metrics.get("device_requests_total").value
     for start, count in windows:
         count = min(count, FILE_PAGES - start)
         if count > 0:
             kernel.page_cache.populate(file, start, count)
     kernel.env.run()
-    assert kernel.device.stats.requests == reads_before
+    assert kernel.metrics.get("device_requests_total").value == reads_before

@@ -67,8 +67,8 @@ def test_evictions_follow_lru_order(env):
     kernel.page_cache.populate(file, 100, 4)
     env.run()
     assert kernel.reclaim.eviction_log == [(file.ino, i) for i in range(4)]
-    assert kernel.reclaim.stats.direct == 4
-    assert kernel.reclaim.stats.reclaimed == 4
+    assert kernel.metrics.get("reclaim_direct_total").value == 4
+    assert kernel.metrics.get("reclaim_reclaimed_total").value == 4
 
 
 def test_under_io_pages_never_evicted(env):
@@ -93,7 +93,7 @@ def test_mapped_pages_survive_direct_reclaim(env):
     env.run()
     evicted = {index for _ino, index in kernel.reclaim.eviction_log}
     assert evicted == set(range(8, 16))  # never a mapped page
-    assert kernel.reclaim.stats.activations >= 8
+    assert kernel.metrics.get("reclaim_activations_total").value >= 8
     for i in range(8):
         assert kernel.page_cache.resident(file.ino, i)
         kernel.page_cache.lookup(file.ino, i).frame.mapcount = 0
@@ -106,14 +106,16 @@ def test_kswapd_wakes_and_reclaims_to_high_watermark(env):
     file = kernel.filestore.create("f", MIB)
     kernel.page_cache.populate(file, 0, 59)
     env.run()
-    assert kernel.reclaim.stats.kswapd_wakeups == 0  # still above low
+    wakeups = kernel.metrics.get("reclaim_kswapd_wakeups_total")
+    assert wakeups.value == 0  # still above low
     kernel.page_cache.populate(file, 100, 1)  # free sinks below low
     env.run()
-    stats = kernel.reclaim.stats
-    assert stats.kswapd_wakeups == 1
+    metrics = kernel.metrics.snapshot()
+    assert metrics["reclaim_kswapd_wakeups_total"] == 1
     assert kernel.frames.free_frames >= wm.high_frames
-    assert stats.reclaimed >= 1
-    assert stats.cpu_seconds > 0.0  # background reclaim charges CPU time
+    assert metrics["reclaim_reclaimed_total"] >= 1
+    # Background reclaim charges CPU time.
+    assert metrics["reclaim_cpu_seconds_total"] > 0.0
 
 
 def test_enable_watermarks_idempotent(env):
@@ -155,9 +157,10 @@ def test_speculative_fill_aborts_on_oom_demand_raises(env):
     # A readahead-class fill degrades to a no-op instead of raising.
     cost, entries = cache.populate(file, 100, 8, speculative=True)
     assert entries == []
-    assert cache.stats.ra_oom_aborts == 1
+    aborts = kernel.metrics.get("cache_ra_oom_aborts_total")
+    assert aborts.value == 1
     assert cache.page_cache_ra_unbounded(file, 200, 8) == 0.0
-    assert cache.stats.ra_oom_aborts == 2
+    assert aborts.value == 2
 
     # The demand page of a speculative window still raises.
     with pytest.raises(OutOfMemory):

@@ -94,7 +94,7 @@ def build(state: dict) -> tuple[Kernel, list]:
             "stub", [movi(0, VERDICT_DEFAULT), exit_()]))
 
         def policy_verdict(key, need):
-            reclaim.stats._policy_runs.inc()
+            reclaim._m_policy_runs.inc()
             return verdicts[key]
 
         reclaim._policy_verdict = policy_verdict

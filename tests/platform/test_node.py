@@ -80,14 +80,6 @@ def test_second_cold_start_shares_page_cache():
     assert second.latency < 0.7 * first.latency
 
 
-def test_memory_timeline_sampled(profiles):
-    node = make_node(profiles)
-    report = node.run([Arrival(0.0, "alpha", 0)], sample_interval=0.01)
-    assert len(report.memory_timeline) >= 2
-    assert report.peak_memory_bytes >= max(
-        s.bytes_in_use for s in report.memory_timeline)
-
-
 def test_handle_requires_prepare(profiles):
     node = make_node(profiles)
     with pytest.raises(RuntimeError):
@@ -110,8 +102,7 @@ def test_percentile_nearest_rank_regression():
     results = [RequestResult(function="alpha", arrival_time=0.0,
                              latency=float(v), cold=True, input_seed=0)
                for v in range(1, 11)]
-    report = NodeReport(results=results, memory_timeline=[],
-                        peak_memory_bytes=0)
+    report = NodeReport(results=results, peak_memory_bytes=0)
     assert report.percentile(50) == 5.0
     assert report.percentile(95) == 10.0
     assert report.percentile(99) == 10.0

@@ -96,7 +96,7 @@ class TestStaging:
         plan = store.plan_read(file, 0, manifest.size_pages)
         run_stage(env, store, plan)
         assert env.now > 0.0  # remote RTT + bandwidth were charged
-        assert store.remote.stats.requests >= 1
+        assert store.remote.registry.get("device_requests_total").value >= 1
         assert store.plan_read(file, 0, manifest.size_pages) is None
         extras = store.result_extras()
         assert extras["snapstore_staged_chunks"] == len(manifest.cids)
@@ -111,7 +111,7 @@ class TestStaging:
         plan = store.plan_read(file, 0, manifest.size_pages)
         run_stage(env, store, plan)
         # Contiguously recorded chunks are offset-adjacent: one request.
-        assert store.remote.stats.requests == 1
+        assert store.remote.registry.get("device_requests_total").value == 1
 
     def test_inflight_fetches_are_awaited_not_duplicated(self):
         env = Environment()
@@ -126,7 +126,7 @@ class TestStaging:
         first = env.process(driver())
         second = env.process(driver())
         env.run(env.all_of([first, second]))
-        assert store.remote.stats.requests == 1
+        assert store.remote.registry.get("device_requests_total").value == 1
         assert store.result_extras()["snapstore_staged_chunks"] == len(
             manifest.cids)
 
@@ -173,7 +173,8 @@ class TestEviction:
         assert store._on_hdd
         plan = store.plan_read(file, 0, manifest.size_pages)
         run_stage(env, store, plan)
-        assert store.remote.stats.requests == 0  # spindle, not network
+        # The spindle served it, not the network.
+        assert store.remote.registry.get("device_requests_total").value == 0
         assert store.metrics.get(
             "snapstore_chunk_hits_hdd_total").value > 0
 

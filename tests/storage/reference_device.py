@@ -7,7 +7,7 @@ generator so ``test_service_equivalence.py`` can drive both with the
 same inputs and require the same simulation, event for event.
 """
 
-from repro.storage.device import BlockIOError, IORequest
+from repro.storage.device import READ, BlockIOError, IORequest
 from repro.storage.hdd import HDDevice
 from repro.storage.remote import RemoteObjectStore
 from repro.storage.ssd import SSDevice
@@ -46,11 +46,23 @@ class ProcessServed:
         duration = request.complete_time - start
         failed = decision is not None and decision.error is not None
         self._trace_request(request, start, sequential, failed)
+        self._m_busy_time.inc(duration)
+        self._m_latency.observe(duration)
         if failed:
             transient = decision.error != "persistent"
-            self.stats.record_failure(duration, transient)
+            self._m_errors.inc()
+            (self._m_transient_errors if transient
+             else self._m_persistent_errors).inc()
             raise BlockIOError(request, transient=transient)
-        self.stats.record_success(request, sequential, duration)
+        self._m_requests.inc()
+        if sequential:
+            self._m_sequential.inc()
+        if request.op == READ:
+            self._m_read_requests.inc()
+            self._m_bytes_read.inc(request.nbytes)
+        else:
+            self._m_write_requests.inc()
+            self._m_bytes_written.inc(request.nbytes)
         return request
 
 

@@ -81,12 +81,12 @@ class TestSSD:
         ssd.read(0, 4 * PAGE_SIZE)
         ssd.write(0, PAGE_SIZE)
         env.run()
-        st = ssd.stats
-        assert st.requests == 2
-        assert st.read_requests == 1 and st.write_requests == 1
-        assert st.bytes_read == 4 * PAGE_SIZE
-        assert st.bytes_written == PAGE_SIZE
-        assert st.bytes_total == 5 * PAGE_SIZE
+        metrics = ssd.registry.snapshot()
+        assert metrics["device_requests_total"] == 2
+        assert metrics["device_read_requests_total"] == 1
+        assert metrics["device_write_requests_total"] == 1
+        assert metrics["device_bytes_read_total"] == 4 * PAGE_SIZE
+        assert metrics["device_bytes_written_total"] == PAGE_SIZE
 
     def test_sequential_detection(self, env):
         ssd = SSDevice(env, queue_depth=1)
@@ -94,7 +94,8 @@ class TestSSD:
         ssd.read(PAGE_SIZE, PAGE_SIZE)       # sequential
         ssd.read(100 * PAGE_SIZE, PAGE_SIZE)  # random
         env.run()
-        assert ssd.stats.sequential_requests == 1
+        assert ssd.registry.get(
+            "device_sequential_requests_total").value == 1
 
     def test_priority_overtakes_queue(self, env):
         """A sync read submitted after many readahead reads finishes
@@ -116,7 +117,7 @@ class TestSSD:
         ssd.read(0, PAGE_SIZE)
         env.run()
         ssd.reset_stats()
-        assert ssd.stats.requests == 0
+        assert ssd.registry.get("device_requests_total").value == 0
 
 
 class TestHDD:

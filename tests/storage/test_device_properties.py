@@ -29,8 +29,9 @@ def test_all_requests_complete_and_bytes_conserved(specs):
                                            prio=prio)))
     env.run()
     assert all(e.processed and e.ok for e in events)
-    assert ssd.stats.requests == len(specs)
-    assert ssd.stats.bytes_read == total_bytes
+    metrics = ssd.registry.snapshot()
+    assert metrics["device_requests_total"] == len(specs)
+    assert metrics["device_bytes_read_total"] == total_bytes
     # Completions never precede submissions; clock advanced.
     for event in events:
         request = event.value

@@ -31,8 +31,8 @@ def test_device_fails_injected_request(kernel, faults):
         return "saw-error"
 
     assert drive(kernel.env, waiter()) == "saw-error"
-    assert kernel.device.stats.errors == 1
-    assert kernel.device.stats.transient_errors == 1
+    assert kernel.metrics.get("device_errors_total").value == 1
+    assert kernel.metrics.get("device_transient_errors_total").value == 1
 
 
 def test_error_consumes_only_one_injection(kernel, faults):
@@ -46,8 +46,9 @@ def test_error_consumes_only_one_injection(kernel, faults):
         return done
 
     drive(kernel.env, sequence())
-    assert kernel.device.stats.errors == 1
-    assert kernel.device.stats.requests == 1  # only the success counted
+    assert kernel.metrics.get("device_errors_total").value == 1
+    # Only the success is counted.
+    assert kernel.metrics.get("device_requests_total").value == 1
 
 
 def test_failed_request_charges_busy_time(kernel, faults):
@@ -62,13 +63,13 @@ def test_failed_request_charges_busy_time(kernel, faults):
             yield kernel.filestore.read_pages(file, 0, 4)
 
     drive(kernel.env, read())
-    stats = kernel.device.stats
-    assert stats.requests == 0
-    assert stats.bytes_read == 0
-    assert stats.errors == 1
-    assert stats.busy_time > 0.0
-    assert stats.latency.count == 1
-    assert stats.latency.sum > 0.0
+    metrics = kernel.metrics.snapshot()
+    assert metrics["device_requests_total"] == 0
+    assert metrics["device_bytes_read_total"] == 0
+    assert metrics["device_errors_total"] == 1
+    assert metrics["device_busy_seconds_total"] > 0.0
+    assert metrics["device_request_latency_seconds_count"] == 1
+    assert metrics["device_request_latency_seconds_sum"] > 0.0
 
 
 def test_persistent_error_poisons_extent(kernel, faults):
@@ -87,8 +88,8 @@ def test_persistent_error_poisons_extent(kernel, faults):
         return "done"
 
     assert drive(kernel.env, sequence()) == "done"
-    assert kernel.device.stats.persistent_errors == 2
-    assert kernel.device.stats.requests == 1
+    assert kernel.metrics.get("device_persistent_errors_total").value == 2
+    assert kernel.metrics.get("device_requests_total").value == 1
 
 
 def test_page_cache_drops_failed_pages_and_retries(kernel, faults):

@@ -94,13 +94,14 @@ class TestIO:
         store.read_pages(f, 0, 8)
         env.run()
         assert env.now > 0
-        assert store.device.stats.bytes_read == 8 * PAGE_SIZE
+        assert store.device.registry.get(
+            "device_bytes_read_total").value == 8 * PAGE_SIZE
 
     def test_single_contiguous_request(self, store, env):
         f = store.create("a", MIB)
         store.read_pages(f, 4, 32)
         env.run()
-        assert store.device.stats.requests == 1
+        assert store.device.registry.get("device_requests_total").value == 1
 
     def test_bounds_checked(self, store):
         f = store.create("a", MIB)
@@ -115,7 +116,8 @@ class TestIO:
         f = store.create("a", MIB)
         store.write_pages(f, 0, 4)
         env.run()
-        assert store.device.stats.bytes_written == 4 * PAGE_SIZE
+        assert store.device.registry.get(
+            "device_bytes_written_total").value == 4 * PAGE_SIZE
 
     def test_file_offsets_map_to_device_offsets(self, store, env):
         store.create("pad", MIB)

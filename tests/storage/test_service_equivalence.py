@@ -5,9 +5,11 @@ stage callbacks instead of a DES process.  The contract is that nothing
 observable changes: this fuzz drives every shipped device class and its
 process-served twin (``reference_device.py``) with the same request
 bursts and the same seeded fault injector, and requires identical
-per-request times, completion order and outcomes, device counters and
-latency buckets, device spans, the time and priority of every DES event
-in processing order, and the final clock.
+per-request times, completion order and outcomes, the device's whole
+registry (every counter, the transient and persistent error counters
+among them, and the latency histogram's buckets and extremes), device
+spans, the time and priority of every DES event in processing order,
+and the final clock.
 """
 
 import random
@@ -126,13 +128,14 @@ def simulate(cls, queue_depth: int, burst, fault) -> dict:
 
     env.process(submitter(), name="submitter")
     env.run()
-    stats = device.stats
+    registry = device.registry
+    latency = registry.get("device_request_latency_seconds")
     return {
         "times": [(r.submit_time, r.complete_time) for r in submitted],
         "completions": completions,
-        "stats": stats.snapshot(),
-        "errors": (stats.transient_errors, stats.persistent_errors),
-        "buckets": stats.latency.bucket_counts(),
+        "metrics": registry.snapshot(),
+        "buckets": latency.bucket_counts(),
+        "extremes": (latency.min, latency.max),
         "device_spans": [(s.name, s.ts, s.dur, s.track, s.args)
                          for s in env.tracer.spans(cat="device")],
         "faults": (None if injector is None else
@@ -171,7 +174,7 @@ def test_unobserved_failure_raises_from_run(cls):
     with pytest.raises(BlockIOError) as info:
         env.run()
     assert not info.value.transient
-    assert device.stats.errors == 1
+    assert device.registry.get("device_errors_total").value == 1
 
 
 def test_requests_run_without_processes():

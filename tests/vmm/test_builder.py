@@ -23,10 +23,11 @@ def test_serialization_writes_whole_memory_sequentially(kernel,
                                                         tiny_profile):
     report = drive(kernel.env,
                    SnapshotBuilder(kernel).build(tiny_profile))
-    stats = kernel.device.stats
-    assert stats.bytes_written == tiny_profile.mem_bytes
+    metrics = kernel.metrics.snapshot()
+    assert metrics["device_bytes_written_total"] == tiny_profile.mem_bytes
     # Large sequential chunks: almost every write follows its predecessor.
-    assert stats.sequential_requests >= stats.write_requests - 1
+    assert (metrics["device_sequential_requests_total"]
+            >= metrics["device_write_requests_total"] - 1)
     assert report.serialize_seconds > 0
 
 
