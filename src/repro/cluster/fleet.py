@@ -71,7 +71,9 @@ class Fleet:
         Neither callable may hold the Fleet itself: the autoscaler keeps
         both, and a Fleet -> autoscaler -> callable -> Fleet cycle leaves
         the whole finished fleet to the cyclic garbage collector instead
-        of freeing it when the run returns."""
+        of freeing it when the run returns.  The fleet pins in
+        ``tests/integration/test_result_digests.py`` run with the
+        collector paused and fail on any such cycle."""
         env, gateway, cspec = self.env, self.gateway, self.cspec
 
         def spawn():

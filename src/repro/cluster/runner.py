@@ -332,7 +332,7 @@ def run_cluster(spec, fault_config=None, fault_seed: int = 0,
 
     fleet.publish()
 
-    return ClusterReport(
+    report = ClusterReport(
         policy=cspec.policy,
         results=[p.value for p in processes],
         node_timeline=list(gateway.node_timeline),
@@ -349,6 +349,9 @@ def run_cluster(spec, fault_config=None, fault_seed: int = 0,
         cache_adds=sum(k.metrics.get("cache_adds_total").value
                        for k in kernels),
         start_time=base, end_time=env.now)
+    for kernel in kernels:
+        kernel.close()
+    return report
 
 
 def run_cluster_scenario(spec) -> ScenarioResult:

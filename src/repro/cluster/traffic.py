@@ -86,6 +86,7 @@ def calibrate_service_times(approach_name: str, shapes: tuple[str, ...],
                                 name=f"calib-{shape}")).latency
             for _ in range(2))
         env.run()
+        kernel.close()
         out[shape] = ServiceTimes(cold=cold, warm=warm, prepare=prepare)
     return out
 
@@ -407,7 +408,7 @@ def run_traffic(spec, tracer: Tracer | None = None,
 
     fleet.publish()
 
-    return TrafficReport(
+    report = TrafficReport(
         policy=cspec.policy,
         keepalive=cspec.keepalive,
         invocations=state["submitted"],
@@ -425,6 +426,8 @@ def run_traffic(spec, tracer: Tracer | None = None,
         slo=slo,
         p99_e2e=all_e2e.percentile(99.0),
         p999_e2e=all_e2e.percentile(99.9))
+    env.close()
+    return report
 
 
 def run_traffic_scenario(spec) -> ScenarioResult:

@@ -602,5 +602,8 @@ def compile_program(program: Program, interpreter) -> CompiledProgram:
     namespace = dict(_BASE_NAMESPACE)
     namespace.update(gen.consts)
     exec(code, namespace)
-    return CompiledProgram(owner=interpreter, fn=namespace["_bpf_run"],
+    # The closure never names itself, so its globals need not hold it:
+    # without the function <-> globals cycle, a dropped program is freed
+    # by reference counting.
+    return CompiledProgram(owner=interpreter, fn=namespace.pop("_bpf_run"),
                            source=source)

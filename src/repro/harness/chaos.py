@@ -83,6 +83,7 @@ def run_chaos_scenario(spec: ScenarioSpec) -> ScenarioResult:
     result.extra["chaos_mean_cold_latency"] = (
         sum(cold) / len(cold) if cold else 0.0)
     result.extra["chaos_digest"] = float(int(stable_hash(outcomes)[:12], 16))
+    kernel.close()
     return result
 
 

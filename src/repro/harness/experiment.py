@@ -95,7 +95,10 @@ def _run_scenario(spec: ScenarioSpec,
     profile = spec.function
     n_instances = spec.n_instances
     input_seed = spec.input_seed
-    if kernel is None:
+    # A caller's kernel outlives the run (it is read afterwards); only a
+    # host built here ends with it.
+    owned = kernel is None
+    if owned:
         kernel = make_kernel(spec.device_kind, spec.ram_bytes, spec.costs)
     if spec.snapstore is not None and kernel.snapstore is None:
         from repro.snapstore import install_snapstore
@@ -197,6 +200,8 @@ def _run_scenario(spec: ScenarioSpec,
     for vm in vms:
         approach.post_invoke(vm)
         vm.teardown()
+    if owned:
+        kernel.close()
     return result
 
 

@@ -40,6 +40,7 @@ transient and earn retries.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -178,9 +179,21 @@ def execute_spec(spec: ScenarioSpec) -> ScenarioResult:
     re-seeding the global RNG from the spec hash is hygiene that keeps a
     stray ``random.random()`` anywhere in the stack from making results
     depend on execution order or worker identity.
+
+    The cell runs with the cyclic garbage collector paused, and the
+    collector's state is restored afterwards.  A cell's hosts close
+    themselves (``Kernel.close``), so reference counting frees them and
+    the collector has nothing to find; left on, it would only re-scan
+    the live simulation heap, over and over.
     """
     random.seed(spec.seed_material())
-    return run_scenario(spec)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return run_scenario(spec)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _supervised_cell(payload) -> ScenarioResult:

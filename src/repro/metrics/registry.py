@@ -134,8 +134,7 @@ class Histogram(Metric):
     def __init__(self, name: str, help: str = "", base: float = 1e-6,
                  n_buckets: int = 40):
         if base <= 0 or n_buckets < 1:
-            raise MetricError(f"histogram {self.name if False else name!r}: "
-                              f"bad bucket layout")
+            raise MetricError(f"histogram {name!r}: bad bucket layout")
         super().__init__(name, help)
         self.base = base
         self.bounds = [base * (1 << i) for i in range(n_buckets)]
@@ -290,6 +289,12 @@ class MetricsRegistry:
         fallback counts.
         """
         self._collectors.append(collect)
+
+    def clear_collectors(self) -> None:
+        """Drop every collector; registered metrics stay readable.  A
+        collector is usually a closure over its owner, so a finished
+        host drops them to stop being a reference cycle."""
+        self._collectors.clear()
 
     # -- aggregate reads ------------------------------------------------------
     def snapshot(self) -> dict[str, float]:

@@ -16,8 +16,8 @@ from repro.metrics.registry import MetricsRegistry
 from repro.mm.address_space import AddressSpace
 from repro.mm.costs import CostModel
 from repro.mm.frames import FrameAllocator
-from repro.mm.page_cache import PageCache
-from repro.mm.reclaim import register_evict_hint
+from repro.mm.page_cache import HOOK_ADD_TO_PAGE_CACHE, PageCache
+from repro.mm.reclaim import HOOK_MM_EVICT, register_evict_hint
 from repro.mm.userfaultfd import Uffd
 from repro.sim import Environment
 from repro.storage.device import BlockDevice
@@ -102,3 +102,34 @@ class Kernel:
     def run(self, until=None):
         """Convenience passthrough to the DES engine."""
         return self.env.run(until)
+
+    def close(self) -> None:
+        """End the host's life: stop its simulation and drop the
+        references that make it a reference cycle, so reference counting
+        frees it once its owner lets go, instead of the cyclic garbage
+        collector.
+
+        Closes the environment (:meth:`Environment.close`: unfinished
+        processes, kswapd and userfaultfd handlers among them, are
+        stopped and scheduled events dropped), abandons the device's
+        queued and held requests, and drops the registry's collectors
+        (closures over their owners), the eBPF runtime's clock and
+        residency hooks, every kfunc (each closes over the kernel or its
+        reclaim controller), every attached kprobe program, and the
+        reclaim controller's links to the page cache and the frame
+        allocator.  Every registered metric, the frame counters and the
+        page cache's contents stay readable.  A fleet's hosts share one
+        environment, so close them only once the fleet is done.
+        Idempotent.
+        """
+        self.env.close()
+        self.device.close()
+        self.metrics.clear_collectors()
+        self.interpreter.time_ns = self.interpreter.page_stats = None
+        for name in self.kfuncs.names():
+            self.kfuncs.unregister(name)
+        for hook in (HOOK_ADD_TO_PAGE_CACHE, HOOK_MM_EVICT):
+            for program in self.kprobes.attached(hook):
+                self.kprobes.detach(hook, program)
+        self.frames.reclaimer = None
+        self.reclaim.page_cache = None

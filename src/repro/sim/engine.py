@@ -126,6 +126,12 @@ class Event:
         self._value = exc
         return self
 
+    def abandon(self) -> None:
+        """Drop the waiters of an event that will never fire (see
+        :meth:`Environment.close`)."""
+        if self.callbacks:
+            self.callbacks.clear()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self.callbacks is None else (
             "triggered" if self._triggered else "pending")
@@ -171,6 +177,7 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Event | None = None
         self._started_at = env.now
+        env._processes[self] = None
         # Kick off at current time: an URGENT start event, built and
         # scheduled inline like a Timeout.
         init = Event.__new__(Event)
@@ -197,15 +204,27 @@ class Process(Event):
         event.callbacks.append(self._resume_interrupt)
         event.fail(Interrupt(cause), priority=URGENT)
 
+    def abandon(self) -> None:
+        """Stop an unfinished process for good: it leaves the event it
+        waits on, its generator is closed (running its ``finally``
+        blocks) and its own waiters are dropped."""
+        self._leave_target()
+        super().abandon()
+        self.generator.close()
+
     # -- internal ---------------------------------------------------------
+    def _leave_target(self) -> None:
+        target, self._target = self._target, None
+        if target is not None and target.callbacks is not None:
+            try:
+                target.callbacks.remove(self._resume)
+            except ValueError:
+                pass
+
     def _resume_interrupt(self, event: Event) -> None:
         if self._triggered:
             return  # process finished before the interrupt was delivered
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
+        self._leave_target()
         self._resume(event)
 
     def _resume(self, event: Event) -> None:
@@ -219,8 +238,13 @@ class Process(Event):
                 target = self.generator.send(event._value)
             else:
                 target = self.generator.throw(event._value)
+                # Handled: drop the traceback gathered on the way in.
+                # Its frames hold this process, and the event that
+                # failed holds the exception: a reference cycle.
+                event._value.__traceback__ = None
         except StopIteration as stop:
             env._active_process = None
+            del env._processes[self]
             tracer = env.tracer
             if tracer is not None and tracer.enabled:
                 self._trace_lifetime(tracer, ok=True)
@@ -228,9 +252,15 @@ class Process(Event):
             return
         except BaseException as exc:
             env._active_process = None
+            del env._processes[self]
             tracer = env.tracer
             if tracer is not None and tracer.enabled:
                 self._trace_lifetime(tracer, ok=False)
+            if isinstance(exc, OSError):
+                # A simulated I/O error is an outcome, not a bug: keep
+                # it without the traceback, whose frames hold this
+                # process (and the stack that ran it) in a cycle.
+                exc.__traceback__ = None
             self.fail(exc, priority=URGENT)
             return
         env._active_process = None
@@ -327,6 +357,8 @@ class Environment:
         #: URGENT events, all at ``now``, in scheduling order.
         self._urgent: deque[Event] = deque()
         self._active_process: Process | None = None
+        #: Started, unfinished processes, in start order (for close()).
+        self._processes: dict[Process, None] = {}
         #: Trace plane hook (duck-typed; see repro.trace).  When set and
         #: enabled, every completed process emits a lifetime span.  The
         #: engine never imports the trace package — same layering as the
@@ -388,6 +420,28 @@ class Environment:
             raise event._value
         if self.telemetry is not None:
             self.telemetry.on_sim_event(self.now)
+
+    def close(self) -> None:
+        """End the simulation for good, with whatever is still in
+        flight: abandon every unfinished process
+        (:meth:`Process.abandon`) and every scheduled event, and empty
+        the queues.
+
+        A run that stopped at the event it awaited may leave work in
+        flight and daemons parked, each tied to its events in a
+        reference cycle; after ``close()`` reference counting frees the
+        run instead of the cyclic garbage collector.  Nothing runs
+        afterwards; idempotent."""
+        while self._processes:  # a finally block may start another
+            processes, self._processes = self._processes, {}
+            for process in processes:
+                process.abandon()
+        for _time, _seq, event in self._heap:
+            event.abandon()
+        for event in self._urgent:
+            event.abandon()
+        self._heap.clear()
+        self._urgent.clear()
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the queues drain, ``until`` time passes, or event fires."""

@@ -99,6 +99,16 @@ class Resource:
             self._users.add(nxt)
             nxt.succeed(priority=URGENT)
 
+    def close(self) -> None:
+        """Abandon every waiting request and forget every holder: a
+        request and its resource refer to each other, so requests still
+        queued or held when the run ends would otherwise form reference
+        cycles."""
+        for _prio, _seq, request in self._heap:
+            request.abandon()
+        self._heap.clear()
+        self._users.clear()
+
     def _remove_waiter(self, request: Request) -> None:
         # Eager removal, so every heap entry is a live waiter and
         # release() grants whatever it pops.

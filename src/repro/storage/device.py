@@ -158,6 +158,12 @@ class BlockDevice:
                 sequential=sequential, error=failed)
 
     # -- misc -----------------------------------------------------------------
+    def close(self) -> None:
+        """Abandon the requests still queued or in service when the run
+        ends (see ``Kernel.close``)."""
+        self._slots.close()
+        self._controller.close()
+
     def reset_stats(self) -> None:
         """Zero this device's metrics in place (other layers untouched)."""
         for metric in (self._m_requests, self._m_read_requests,

@@ -3,6 +3,10 @@ function profiles sized so full scenarios run in milliseconds."""
 
 from __future__ import annotations
 
+import contextlib
+import gc
+from collections import Counter
+
 import pytest
 
 from repro.harness.experiment import make_kernel
@@ -48,3 +52,30 @@ def drive(env: Environment, generator, name: str = "test"):
     process = env.process(generator, name=name)
     env.run(process)
     return process.value
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """Run the block from a collected heap with the cyclic collector
+    paused, as a sweep cell runs; restore the collector afterwards."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def cyclic_garbage() -> Counter:
+    """Collect, and count by type what only the collector could free."""
+    debug = gc.get_debug()
+    gc.set_debug(debug | gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(debug)
+        gc.collect()  # free what was saved

@@ -3,17 +3,20 @@ and the shared SweepOptions knob surface."""
 
 import argparse
 import dataclasses
+import gc
 import json
 
 import pytest
 
-from repro.harness.experiment import ResultCache, run_scenario
+from repro.harness import sweep
+from repro.harness.experiment import ResultCache, make_kernel, run_scenario
 from repro.harness.figures import build_figure, figure_specs, matrix_specs
 from repro.harness.report import render_figure
 from repro.harness.spec import SCHEMA_VERSION, ScenarioSpec
 from repro.harness.sweep import (ResultStore, SweepOptions, SweepRunner,
                                  SweepStats, execute_spec)
 from repro.mm.costs import CostModel
+from tests.mm.test_kernel import LAYER_COUNTERS
 
 
 @pytest.fixture
@@ -179,6 +182,57 @@ def test_sweep_counters_in_metrics_registry(tiny_profile):
 
 def test_execute_spec_is_deterministic(spec):
     assert execute_spec(spec) == execute_spec(spec)
+
+
+# -- the cyclic collector around a cell --------------------------------------
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("raises", [False, True])
+def test_execute_spec_pauses_the_collector_and_restores_it(
+        monkeypatch, spec, enabled, raises):
+    """The cell runs with the collector off; afterwards the collector
+    is on or off as it was found, whether the cell returned or raised."""
+    during = []
+
+    def cell(spec):
+        during.append(gc.isenabled())
+        if raises:
+            raise RuntimeError("cell failed")
+        return "result"
+
+    monkeypatch.setattr(sweep, "run_scenario", cell)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(RuntimeError, match="cell failed"):
+                execute_spec(spec)
+        else:
+            assert execute_spec(spec) == "result"
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert during == [False]
+
+
+def test_kernel_close_is_idempotent(spec):
+    kernel = make_kernel()
+    run_scenario(spec, kernel=kernel)
+    kernel.close()
+    snapshot = kernel.metrics.snapshot()
+    kernel.close()
+    assert kernel.metrics.snapshot() == snapshot
+    assert kernel.env.peek() == float("inf")  # nothing left to run
+
+
+def test_layer_counters_stay_readable_after_kernel_close(spec):
+    kernel = make_kernel()
+    run_scenario(spec, kernel=kernel)
+    before = {name: kernel.metrics.get(name).value
+              for name in LAYER_COUNTERS}
+    assert before["device_requests_total"] > 0
+    kernel.close()
+    assert {name: kernel.metrics.get(name).value
+            for name in LAYER_COUNTERS} == before
 
 
 def test_invalid_jobs_rejected():

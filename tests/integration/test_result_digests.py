@@ -49,6 +49,13 @@ The digest is taken before the measured sandboxes are torn down, so
 each cell also checks frame accounting after teardown: no anonymous
 frame survives, every file frame in use is a cached page, and no cached
 frame is still mapped.
+
+Every cell here also runs with the cyclic garbage collector paused, as
+a sweep runs it, and must leave nothing for the collector: once a run
+has closed its hosts (``Kernel.close``) and the test has dropped its
+own references, reference counting has freed everything.  A reference
+cycle anywhere in a finished run fails the cell with the types of the
+objects it left behind.
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ from repro.snapstore.spec import SnapStoreSpec
 from repro.units import MIB
 from repro.workloads.profile import FunctionProfile, profile_by_name
 from repro.workloads.traffic import TrafficSpec
+from tests.conftest import collector_paused, cyclic_garbage
 
 #: json scaled down (a third of its working set), so every cell is quick.
 SMALL = FunctionProfile(
@@ -255,41 +263,62 @@ def environments(monkeypatch):
 @pytest.mark.parametrize("label", list(SPECS))
 def test_result_digest(label, environments):
     spec = SPECS[label]
-    kernel = make_kernel(spec.device_kind, spec.ram_bytes, spec.costs)
-    result = run_scenario(spec, kernel=kernel)
-    digest = hashlib.sha256(result.to_json().encode()).hexdigest()
-    events = sum(env.events_processed for env in environments)
-    assert (digest, events) == PINS[label]
+    with collector_paused():
+        kernel = make_kernel(spec.device_kind, spec.ram_bytes, spec.costs)
+        result = run_scenario(spec, kernel=kernel)
+        digest = hashlib.sha256(result.to_json().encode()).hexdigest()
+        events = sum(env.events_processed for env in environments)
+        assert (digest, events) == PINS[label]
 
-    frames, cache = kernel.frames, kernel.page_cache
-    assert frames.counters.anon == 0
-    assert frames.counters.file == frames.in_use == cache.cached_pages()
-    assert all(entry.frame.mapcount == 0
-               for entry in cache._entries.values())
+        frames, cache = kernel.frames, kernel.page_cache
+        assert frames.counters.anon == 0
+        assert frames.counters.file == frames.in_use == cache.cached_pages()
+        assert all(entry.frame.mapcount == 0
+                   for entry in cache._entries.values())
+
+        # A caller's kernel outlives run_scenario; its owner closes it.
+        kernel.close()
+        del kernel, frames, cache, result
+        environments.clear()
+        assert not cyclic_garbage()
 
 
 @pytest.mark.parametrize("label", list(FLEET_SPECS))
 def test_fleet_result_digest(label, environments):
-    result = run_scenario(FLEET_SPECS[label])
-    digest = hashlib.sha256(result.to_json().encode()).hexdigest()
-    events = sum(env.events_processed for env in environments)
-    assert (digest, events) == FLEET_PINS[label]
+    with collector_paused():
+        result = run_scenario(FLEET_SPECS[label])
+        digest = hashlib.sha256(result.to_json().encode()).hexdigest()
+        events = sum(env.events_processed for env in environments)
+        assert (digest, events) == FLEET_PINS[label]
+
+        del result
+        environments.clear()
+        assert not cyclic_garbage()
 
 
 @pytest.mark.parametrize("approach", list(CHAOS_PINS))
 def test_chaos_result_digest(approach):
-    result = run_scenario(ScenarioSpec(
-        "json", approach, chaos=ChaosSpec(fault_seed=7)))
-    digest = hashlib.sha256(result.to_json().encode()).hexdigest()
-    assert digest == CHAOS_PINS[approach]
+    with collector_paused():
+        result = run_scenario(ScenarioSpec(
+            "json", approach, chaos=ChaosSpec(fault_seed=7)))
+        digest = hashlib.sha256(result.to_json().encode()).hexdigest()
+        assert digest == CHAOS_PINS[approach]
+
+        del result
+        assert not cyclic_garbage()
 
 
 def test_node_crash_fleet_digest(environments):
-    report = run_cluster(CRASH_SPEC, fault_config=FaultConfig(
-        node_crash_rate=0.1), fault_seed=1)
-    digest = hashlib.sha256(report.fingerprint().encode()).hexdigest()
-    events = sum(env.events_processed for env in environments)
-    assert (digest, events) == CRASH_PIN
+    with collector_paused():
+        report = run_cluster(CRASH_SPEC, fault_config=FaultConfig(
+            node_crash_rate=0.1), fault_seed=1)
+        digest = hashlib.sha256(report.fingerprint().encode()).hexdigest()
+        events = sum(env.events_processed for env in environments)
+        assert (digest, events) == CRASH_PIN
+
+        del report
+        environments.clear()
+        assert not cyclic_garbage()
 
 
 def test_calibration_pins_cover_every_approach():
@@ -299,7 +328,9 @@ def test_calibration_pins_cover_every_approach():
 
 @pytest.mark.parametrize("approach, ram_bytes", list(CALIBRATION_PINS))
 def test_calibrated_service_times(approach, ram_bytes):
-    times = calibrate_service_times(approach, ("json",),
-                                    ram_bytes=ram_bytes)["json"]
-    assert ((times.cold.hex(), times.warm.hex(), times.prepare.hex())
-            == CALIBRATION_PINS[approach, ram_bytes])
+    with collector_paused():
+        times = calibrate_service_times(approach, ("json",),
+                                        ram_bytes=ram_bytes)["json"]
+        assert ((times.cold.hex(), times.warm.hex(), times.prepare.hex())
+                == CALIBRATION_PINS[approach, ram_bytes])
+        assert not cyclic_garbage()

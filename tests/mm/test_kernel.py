@@ -1,8 +1,13 @@
 """The aggregate Kernel object."""
 
+from repro.core.grouping import Group
+from repro.core.kfuncs import register_snapbpf_kfunc
+from repro.core.progs import (build_prefetch_program, load_groups,
+                              make_groups_map, make_state_map)
 from repro.mm.kernel import Kernel
 from repro.mm.page_cache import HOOK_ADD_TO_PAGE_CACHE
 from repro.units import GIB, MIB, PAGE_SIZE
+from tests.conftest import collector_paused, cyclic_garbage
 
 
 def test_default_wiring():
@@ -77,3 +82,42 @@ def test_host_registry_publishes_every_layer_counter():
     assert published == dict.fromkeys(LAYER_COUNTERS, 0)
     assert {type(value) for value in published.values()} == {int}
     assert snapshot["device_request_latency_seconds_count"] == 0
+
+
+def test_close_with_io_in_flight_leaves_no_cyclic_garbage():
+    """A host closed mid-run, with device requests queued and in
+    service and a process parked on one, leaves nothing for the cyclic
+    collector once its references are dropped."""
+    with collector_paused():
+        kernel = Kernel()
+        file = kernel.filestore.create("f", MIB)
+        reads = [kernel.filestore.read_pages(file, index, 1)
+                 for index in range(file.size_pages)]
+
+        def waiter():
+            yield reads[-1]
+
+        kernel.env.process(waiter())
+        kernel.run(reads[0])
+        assert kernel.device.queue_depth < len(reads)
+        assert not reads[-1].processed
+        kernel.close()
+        del kernel, file, reads
+        assert not cyclic_garbage()
+
+
+def test_close_with_a_program_attached_leaves_no_cyclic_garbage():
+    """A prefetch program still attached when its host closes (its
+    sandbox never reached ``post_invoke``) holds the kfunc it calls,
+    which closes over the kernel: close() detaches it."""
+    with collector_paused():
+        kernel = Kernel()
+        register_snapbpf_kfunc(kernel)
+        file = kernel.filestore.create("snap", MIB)
+        groups = make_groups_map("groups", 1)
+        load_groups(groups, [Group(start=0, count=8, first_access_ns=0)])
+        kernel.kprobes.attach(HOOK_ADD_TO_PAGE_CACHE, build_prefetch_program(
+            file.ino, groups, make_state_map("state")))
+        kernel.close()
+        del kernel, file, groups
+        assert not cyclic_garbage()
