@@ -19,6 +19,7 @@ Run:
 import sys
 
 from repro import GIB, make_kernel, profile_by_name
+from repro.cluster.keepalive import FixedTTLPolicy
 from repro.harness.report import render_table
 from repro.platform import FaaSNode, poisson_arrivals
 
@@ -34,7 +35,7 @@ WARM_TTL = 2.0  # seconds — aggressive scale-down, plenty of cold starts
 def run_node(approach: str, duration: float):
     node = FaaSNode(make_kernel(), approach,
                     [profile for profile, _rate in MIX],
-                    warm_pool_ttl=WARM_TTL)
+                    keepalive=FixedTTLPolicy(WARM_TTL))
     return node.run(poisson_arrivals(MIX, duration=duration, seed=42))
 
 

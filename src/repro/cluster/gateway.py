@@ -234,7 +234,9 @@ class Gateway:
     def submit(self, arrival: Arrival):
         """Generator: serve one request; returns a ClusterRequestResult.
 
-        A crash of the serving node surfaces here as an
+        ``arrival`` needs only a ``time`` and a ``function`` (an
+        ``Arrival``, or a traffic ``Invocation`` as it is).  A crash of
+        the serving node surfaces here as an
         :class:`~repro.sim.Interrupt`; the request then re-routes (a
         fresh cold attempt) to a survivor.  If the whole fleet is
         momentarily unroutable the request polls until a node comes up

@@ -20,6 +20,11 @@ by the autoscaler for in-flight pre-warm load), so its view of a
 function's arrival history is cluster-wide — matching a platform-level
 scheduler, and keeping state O(functions), not O(nodes x functions).
 
+A :class:`WarmPool` enforces those answers on one node: it parks,
+takes, reaps and pre-warms sandboxes.  Both node models inherit it, the
+page-level :class:`~repro.platform.node.FaaSNode` and the calibrated
+replay :class:`~repro.cluster.traffic.TrafficNode`.
+
 Determinism: policies are pure state machines over observed arrival
 times; no RNG, no wall clock.  Equal arrival streams produce equal TTL
 decisions whatever process replays them.
@@ -57,11 +62,8 @@ class KeepAlivePolicy:
 
 
 class FixedTTLPolicy(KeepAlivePolicy):
-    """The historic behavior: one TTL for every function, no pre-warm.
-
-    ``FixedTTLPolicy(ttl)`` on a node is byte-identical to the old
-    ``warm_pool_ttl=ttl`` path (``None`` disables pooling outright).
-    """
+    """The historic behavior: one TTL for every function, no pre-warm
+    (``None`` disables pooling outright)."""
 
     def __init__(self, ttl: float | None):
         if ttl is not None and ttl <= 0:
@@ -158,6 +160,98 @@ class HistogramKeepAlivePolicy(KeepAlivePolicy):
     # -- introspection -------------------------------------------------------
     def tracked_functions(self) -> int:
         return len(self._gaps)
+
+
+class WarmPool:
+    """One node's parked sandboxes, kept as its keep-alive policy says.
+
+    A node model inherits the pool and brings how it spawns a pre-warmed
+    sandbox (``_spawn_prewarmed``, a generator; an ``IOError`` abandons
+    the pre-warm) and how it tears one down (``_teardown``).  Every park
+    gets a fresh token, and its reaper tears down only that park: a
+    sandbox taken and re-parked before the old TTL ran out is left
+    alone.  A reap asks the policy whether to pre-warm.
+
+    A base class, not a member object: a pool object holding its node's
+    bound spawn and teardown methods would form a node <-> pool cycle,
+    which only the cyclic collector frees.
+    """
+
+    #: ``take`` hands out the newest parked sandbox, or the oldest.
+    take_newest: bool
+
+    def __init__(self, env, keepalive: KeepAlivePolicy, functions=()):
+        self.env = env
+        self.keepalive = keepalive
+        self._in_service = True
+        #: function -> {park token: sandbox} in park order; functions
+        #: named up front keep their order for ``close_pool``.
+        self._pool: dict[str, dict] = {f: {} for f in functions}
+
+    def take(self, function: str):
+        """Remove and return a parked sandbox of ``function``, or None."""
+        entries = self._pool.get(function)
+        if not entries:
+            return None
+        if self.take_newest:
+            return entries.popitem()[1]
+        return entries.pop(next(iter(entries)))
+
+    def park(self, function: str, sandbox, keep: bool = True) -> None:
+        """Park ``sandbox`` for the policy's TTL, or tear it down if the
+        policy does not pool or ``keep`` is false."""
+        ttl = self.keepalive.ttl(function)
+        if ttl is None or not keep:
+            self._teardown(sandbox)
+            return
+        token = object()
+        self._pool.setdefault(function, {})[token] = sandbox
+        self.env.process(self._reap(function, token, ttl),
+                         name=f"reaper-{function}")
+
+    def _reap(self, function: str, token: object, ttl: float):
+        yield self.env.timeout(ttl)
+        entries = self._pool[function]
+        if token in entries:
+            self._teardown(entries.pop(token))
+            self._maybe_prewarm(function)
+
+    def _maybe_prewarm(self, function: str) -> None:
+        """A pool entry expired: ask the policy whether (and when) to
+        spawn a sandbox ahead of the predicted next arrival."""
+        when = self.keepalive.prewarm_at(function, self.env.now)
+        if when is None or not self._in_service:
+            return
+        self.keepalive.pending_prewarms += 1
+        self.env.process(self._prewarm(function, when),
+                         name=f"prewarm-{function}")
+
+    def _prewarm(self, function: str, when: float):
+        env = self.env
+        try:
+            yield env.timeout(max(0.0, when - env.now))
+            if not self._in_service or self._pool.get(function):
+                return  # shut down, or an arrival already re-parked
+            try:
+                sandbox = yield from self._spawn_prewarmed(function)
+            except IOError:
+                return  # media error: abandon the speculative spawn
+            self.park(function, sandbox, keep=self._in_service)
+        finally:
+            self.keepalive.pending_prewarms -= 1
+
+    def close_pool(self) -> None:
+        """Take the pool out of service: tear down every parked sandbox
+        and start no more pre-warms.  A request still in flight parks its
+        sandbox as usual, and that park's reaper tears it down."""
+        self._in_service = False
+        for entries in self._pool.values():
+            for sandbox in entries.values():
+                self._teardown(sandbox)
+            entries.clear()
+
+    def pooled_sandboxes(self, function: str) -> int:
+        return len(self._pool.get(function, ()))
 
 
 def make_keepalive_policy(name: str, *, warm_pool_ttl: float | None = 1.5,

@@ -8,18 +8,20 @@ one-function page-level :class:`~repro.platform.node.FaaSNode`'s record
 phase and its first two requests (a cold start after the record phase's
 cache drop, then a warm start on the sandbox it parked), then
 :class:`TrafficNode` replays those measured service times per
-invocation.  Warm-pool bookkeeping, keep-alive/pre-warm policies,
-routing, autoscaling, and per-node concurrency limits all still run for
-real inside the DES — the :class:`~repro.cluster.fleet.Fleet` build-out
-the page-level cluster figure runs too — so the figure-level quantities
+invocation.  The warm pool (one :class:`~repro.cluster.keepalive.WarmPool`
+for both node models), keep-alive/pre-warm policies, routing,
+autoscaling, and per-node concurrency limits all still run for real
+inside the DES — the :class:`~repro.cluster.fleet.Fleet` build-out the
+page-level cluster figure runs too — so the figure-level quantities
 (cold-start ratio, per-tenant tail latency, fleet size) emerge from the
 same control plane; only the data plane inside one invocation is
 replaced by its measured cost.
 
 Scale: invocations stream lazily from
-:class:`~repro.workloads.traffic.TrafficProcess`; accounting goes into
-bounded per-tenant histograms and a rolling SHA-256 digest, so memory
-stays O(tenants + functions) however many invocations run.
+:class:`~repro.workloads.traffic.TrafficProcess` and go to the gateway
+as they are; accounting goes into the gateway's counters, bounded
+per-tenant histograms and a rolling SHA-256 digest, so memory stays
+O(tenants + functions) however many invocations run.
 
 Determinism: a pure function of the spec.  Calibration runs in fresh
 private environments (seeded like everything else), the event stream is
@@ -43,6 +45,7 @@ from repro.workloads.profile import profile_by_name
 from repro.workloads.traffic import TrafficProcess
 
 from repro.cluster.fleet import Fleet
+from repro.cluster.keepalive import FixedTTLPolicy, WarmPool
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ def calibrate_service_times(approach_name: str, shapes: tuple[str, ...],
         # which follows at once; draining the environment afterwards lets
         # the reapers tear the sandbox down.
         node = FaaSNode(kernel, approach_name, [profile_by_name(shape)],
-                        warm_pool_ttl=1.0)
+                        keepalive=FixedTTLPolicy(1.0))
         env.run(env.process(node.prepare(), name=f"calib-prepare-{shape}"))
         prepare = env.now  # a fresh host starts at time 0
         cold, warm = (
@@ -91,38 +94,40 @@ def calibrate_service_times(approach_name: str, shapes: tuple[str, ...],
     return out
 
 
-class TrafficNode:
+class TrafficNode(WarmPool):
     """A fleet member that replays calibrated service times.
 
     Duck-types the :class:`~repro.platform.node.FaaSNode` surface the
     gateway and autoscaler drive — ``handle`` / ``prepare`` /
     ``shutdown`` / ``approaches`` — with a bounded-concurrency server:
     ``slots`` invocations run at once, excess requests queue FIFO (the
-    queueing delay is what pushes p99.9 E2E under bursts).  Warm pools
-    are per-function expiry timestamps; parking, expiry, and pre-warm
-    all consult the shared keep-alive policy exactly like the real node.
+    queueing delay is what pushes p99.9 E2E under bursts).  The warm
+    pool is the :class:`~repro.cluster.keepalive.WarmPool` a page-level
+    node runs, driven by the shared keep-alive policy; a replay sandbox
+    is only its function's name, pre-warmed by a calibrated timeout and
+    torn down by forgetting it.
 
     One snapshot per *shape* (functions of a shape share a base image),
     so a node's record phase costs ``sum(prepare per shape)`` no matter
     how many thousands of functions it may serve.
     """
 
+    #: Oldest first, a FaaSNode's newest first: the fleet pins hold both
+    #: orders until a declared model change keeps one (ROADMAP item 3).
+    take_newest = False
+
     def __init__(self, env: Environment, shapes: dict[str, str],
                  times: dict[str, ServiceTimes], keepalive, slots: int):
-        self.env = env
+        super().__init__(env, keepalive)
         #: function name -> shape name.
         self.shapes = shapes
         self.times = times
-        self.keepalive = keepalive
         self.slots = slots
         #: Gateway residency probes find no snapshot -> residency 0.
         self.approaches: dict = {}
         self.prepared = False
-        self._in_service = True
         self._active = 0
         self._waiters: deque = deque()
-        #: function -> list of pool-entry expiry times (ascending-ish).
-        self._pool: dict[str, list[float]] = {}
         # Plain counters; the runner rolls them into the registry.
         self.requests = 0
         self.cold_starts = 0
@@ -137,8 +142,7 @@ class TrafficNode:
         self.prepared = True
 
     def shutdown(self) -> int:
-        self._in_service = False
-        self._pool.clear()
+        self.close_pool()
         return 0  # no page cache at modeled fidelity
 
     # -- bounded concurrency -------------------------------------------------
@@ -157,71 +161,31 @@ class TrafficNode:
             self._active -= 1
 
     # -- warm pool -----------------------------------------------------------
-    def _take_warm(self, function: str) -> bool:
-        """Claim a live pool entry (expiry >= now); prune dead ones."""
-        now = self.env.now
-        entries = self._pool.get(function)
-        if not entries:
-            return False
-        live = [e for e in entries if e >= now]
-        if not live:
-            self._pool[function] = []
-            return False
-        live.pop(0)
-        self._pool[function] = live
-        return True
+    def _spawn_prewarmed(self, function: str):
+        """Generator: the spawn-only cost, the cold path minus the invoke
+        the warm path shares (clamped; charged to the node)."""
+        st = self.times[self.shapes[function]]
+        yield self.env.timeout(max(0.0, st.cold - st.warm))
+        self.prewarms += 1
+        return function
 
-    def _park(self, function: str, ttl: float) -> None:
-        env = self.env
-        expiry = env.now + ttl
-        self._pool.setdefault(function, []).append(expiry)
-
-        def reaper():
-            yield env.timeout(ttl)
-            entries = self._pool.get(function)
-            if entries and expiry in entries and env.now >= expiry:
-                entries.remove(expiry)
-                self._maybe_prewarm(function)
-
-        env.process(reaper(), name=f"treaper-{function}")
-
-    def _maybe_prewarm(self, function: str) -> None:
-        env = self.env
-        when = self.keepalive.prewarm_at(function, env.now)
-        if when is None or not self._in_service:
-            return
-        self.keepalive.pending_prewarms += 1
-
-        def prewarm():
-            try:
-                yield env.timeout(max(0.0, when - env.now))
-                if not self._in_service or self._pool.get(function):
-                    return
-                st = self.times[self.shapes[function]]
-                # Spawn-only cost: the cold path minus the invoke the
-                # warm path shares (clamped; charged to the node).
-                yield env.timeout(max(0.0, st.cold - st.warm))
-                self.prewarms += 1
-                ttl = self.keepalive.ttl(function)
-                if ttl is not None and self._in_service:
-                    self._park(function, ttl)
-            finally:
-                self.keepalive.pending_prewarms -= 1
-
-        env.process(prewarm(), name=f"tprewarm-{function}")
+    def _teardown(self, function: str) -> None:
+        pass  # a replay sandbox holds nothing
 
     # -- request path --------------------------------------------------------
-    def handle(self, arrival: Arrival):
-        """Generator: serve one request; returns a RequestResult."""
+    def handle(self, arrival):
+        """Generator: serve one request (anything with ``time`` and
+        ``function``); returns a RequestResult with input seed 0."""
         if not self.prepared:
             raise RuntimeError("node.prepare() has not run")
         env = self.env
-        self.keepalive.observe(arrival.function, env.now)
+        function = arrival.function
+        self.keepalive.observe(function, env.now)
         start = env.now
         yield from self._acquire()
         try:
-            st = self.times[self.shapes[arrival.function]]
-            warm = self._take_warm(arrival.function)
+            st = self.times[self.shapes[function]]
+            warm = self.take(function) is not None
             yield env.timeout(st.warm if warm else st.cold)
         finally:
             self._release()
@@ -230,13 +194,10 @@ class TrafficNode:
             self.warm_starts += 1
         else:
             self.cold_starts += 1
-        ttl = self.keepalive.ttl(arrival.function)
-        if ttl is not None:
-            self._park(arrival.function, ttl)
-        return RequestResult(function=arrival.function,
-                             arrival_time=arrival.time,
+        self.park(function, function)
+        return RequestResult(function=function, arrival_time=arrival.time,
                              latency=env.now - start, cold=not warm,
-                             input_seed=arrival.input_seed)
+                             input_seed=0)
 
 
 @dataclass
@@ -328,8 +289,7 @@ def run_traffic(spec, tracer: Tracer | None = None,
 
     base = fleet.stage(build_node)
     digest = hashlib.sha256()
-    state = {"submitted": 0, "done": 0, "stream_done": False,
-             "cold": 0, "timeouts": 0, "failures": 0, "reroutes": 0}
+    state = {"submitted": 0, "done": 0, "stream_done": False}
     all_done = env.event()
 
     def check_done() -> None:
@@ -338,22 +298,14 @@ def run_traffic(spec, tracer: Tracer | None = None,
             all_done.succeed()
 
     def request(inv):
-        arrival = Arrival(time=inv.time, function=inv.function,
-                          input_seed=0)
-        result = yield from gateway.submit(arrival)
+        result = yield from gateway.submit(inv)
         latency = result.latency
         all_e2e.observe(latency)
         t_e2e[inv.tenant].observe(latency)
         t_requests[inv.tenant] += 1
         if result.cold:
-            state["cold"] += 1
             t_cold[inv.tenant] += 1
             t_cold_hist[inv.tenant].observe(latency)
-        if result.status == "timeout":
-            state["timeouts"] += 1
-        elif result.status in ("failed", "unroutable"):
-            state["failures"] += 1
-        state["reroutes"] += result.reroutes
         digest.update(repr((inv.function, round(inv.time, 9),
                             result.cold, round(latency, 9),
                             result.status)).encode())
@@ -408,21 +360,29 @@ def run_traffic(spec, tracer: Tracer | None = None,
 
     fleet.publish()
 
+    # Totals from the gateway's counters.  An unroutable request is a
+    # failure that the gateway counts neither cold nor warm; the report
+    # counts it warm (requests - cold), as the pinned extras always have.
+    metrics = registry.snapshot()
+    requests = int(metrics["cluster_requests_total"])
+    cold = int(metrics["cluster_cold_starts_total"])
+    timeouts = int(metrics["cluster_request_timeouts_total"])
+    failures = int(metrics["cluster_request_failures_total"])
     report = TrafficReport(
         policy=cspec.policy,
         keepalive=cspec.keepalive,
         invocations=state["submitted"],
-        cold_starts=state["cold"],
-        warm_starts=state["done"] - state["cold"],
-        completed=state["done"] - state["timeouts"] - state["failures"],
-        timeouts=state["timeouts"],
-        failures=state["failures"],
-        reroutes=state["reroutes"],
+        cold_starts=cold,
+        warm_starts=requests - cold,
+        completed=requests - timeouts - failures,
+        timeouts=timeouts,
+        failures=failures,
+        reroutes=int(metrics["cluster_crash_reroutes_total"]),
         prewarms=sum(n.prewarms for n in nodes),
         digest=digest.hexdigest(),
         events_processed=env.events_processed,
         node_timeline=list(gateway.node_timeline),
-        metrics=registry.snapshot(),
+        metrics=metrics,
         slo=slo,
         p99_e2e=all_e2e.percentile(99.0),
         p999_e2e=all_e2e.percentile(99.9))

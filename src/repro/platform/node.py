@@ -6,14 +6,16 @@ single shared kernel, so concurrent sandboxes of different functions
 compete for the same page cache and device — the cross-function
 interference a single-scenario run cannot show.
 
-Warm pooling: after an invocation the sandbox is parked for however
-long the node's :class:`~repro.cluster.keepalive.KeepAlivePolicy` says
-(the default fixed policy parks for ``warm_pool_ttl`` seconds); a
-request finding a parked sandbox gets a *warm start* (no restore, EPT
-already populated) and only pool misses pay the cold-start path under
-test.  Histogram policies can also *pre-warm*: spawn a sandbox ahead of
-the predicted next arrival after a pool entry expires, charging the
-cold start to the node instead of a request.
+Warm pooling: the node is a :class:`~repro.cluster.keepalive.WarmPool`.
+After an invocation the sandbox is parked for however long the node's
+:class:`~repro.cluster.keepalive.KeepAlivePolicy` says (no policy: no
+pooling); a request finding a parked sandbox gets a *warm start* (no
+restore, EPT already populated) and only pool misses pay the cold-start
+path under test.  Histogram policies can also *pre-warm*: spawn a
+sandbox ahead of the predicted next arrival after a pool entry expires,
+charging the cold start to the node instead of a request.  The node
+itself only says how a pre-warmed ``MicroVM`` is spawned (through the
+function's approach) and torn down.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import statistics
 from dataclasses import dataclass
 
 from repro.baselines.base import Approach, approach_registry
-from repro.cluster.keepalive import FixedTTLPolicy, KeepAlivePolicy
+from repro.cluster.keepalive import FixedTTLPolicy, KeepAlivePolicy, WarmPool
 from repro.metrics.registry import nearest_rank
 from repro.mm.kernel import Kernel
 from repro.platform.workload import Arrival
@@ -109,12 +111,16 @@ class NodeReport:
         }
 
 
-class FaaSNode:
-    """One host serving a mix of functions with one restore approach."""
+class FaaSNode(WarmPool):
+    """One host serving a mix of functions with one restore approach;
+    ``keepalive`` parks its sandboxes (``None``: no pooling)."""
+
+    #: Newest first, a TrafficNode's oldest first: the fleet pins hold both
+    #: orders until a declared model change keeps one (ROADMAP item 3).
+    take_newest = True
 
     def __init__(self, kernel: Kernel, approach: str,
                  profiles: list[FunctionProfile],
-                 warm_pool_ttl: float | None = None,
                  request_deadline: float | None = None,
                  keepalive: KeepAlivePolicy | None = None):
         factory = approach_registry()[approach]
@@ -122,16 +128,13 @@ class FaaSNode:
         self.profiles = {p.name: p for p in profiles}
         self.approaches: dict[str, Approach] = {
             p.name: factory(kernel) for p in profiles}
-        #: Keep-alive policy deciding park TTLs and pre-warm windows.
-        #: Default reproduces the historic fixed-TTL path exactly.
-        self.keepalive = (keepalive if keepalive is not None
-                          else FixedTTLPolicy(warm_pool_ttl))
-        self._in_service = True
+        super().__init__(kernel.env, (keepalive if keepalive is not None
+                                      else FixedTTLPolicy(None)),
+                         functions=self.profiles)
         #: Wall-clock budget per request.  Past it the request reports a
         #: "timeout" result; the in-flight attempt is abandoned (it still
         #: finishes in the background and cleans up its sandbox).
         self.request_deadline = request_deadline
-        self._pool: dict[str, list[MicroVM]] = {p.name: [] for p in profiles}
         self._vm_seq = 0
         self.prepared = False
         # Degradation counters, published on the machine's registry so
@@ -251,14 +254,11 @@ class FaaSNode:
         an attempt abandoned at the deadline still parks or tears down
         its sandbox when it eventually finishes)."""
         env = self.kernel.env
-        pool = self._pool[arrival.function]
-        vm = None
+        vm = None if force_cold else self.take(arrival.function)
         try:
-            if pool and not force_cold:
+            if vm is not None:
                 info["cold"] = False
                 start = env.now
-                vm = pool.pop()
-                vm._parked = False
                 yield env.timeout(WARM_RESUME_SECONDS)
                 vm._spawn_time = start
                 yield from vm.invoke(trace)
@@ -271,68 +271,20 @@ class FaaSNode:
             if vm is not None and not vm.space.dead:
                 vm.teardown()
             raise
-        ttl = self.keepalive.ttl(arrival.function)
-        if ttl is not None:
-            self._park(vm, arrival.function, ttl)
-        else:
-            vm.teardown()
+        self.park(arrival.function, vm)
 
-    def _park(self, vm: MicroVM, function: str, ttl: float) -> None:
-        env = self.kernel.env
-        vm._parked = True
-        # Each park gets a fresh token so a stale reaper (from a park
-        # whose sandbox was popped and re-parked before the TTL fired)
-        # cannot tear down the *new* park's sandbox.
-        token = object()
-        vm._park_token = token
-        self._pool[function].append(vm)
+    # -- warm pool ------------------------------------------------------------
+    def _spawn_prewarmed(self, function: str):
+        """Generator: restore a sandbox through the function's approach."""
+        self._vm_seq += 1
+        vm = yield from self.approaches[function].spawn(
+            self.profiles[function],
+            vm_id=f"{function}-prewarm-{self._vm_seq}")
+        self._m_prewarms.inc()
+        return vm
 
-        def reaper():
-            yield env.timeout(ttl)
-            if (getattr(vm, "_parked", False)
-                    and getattr(vm, "_park_token", None) is token):
-                vm._parked = False
-                try:
-                    self._pool[function].remove(vm)
-                except ValueError:
-                    pass
-                vm.teardown()
-                self._maybe_prewarm(function)
-
-        env.process(reaper(), name=f"reaper-{vm.vm_id}")
-
-    def _maybe_prewarm(self, function: str) -> None:
-        """Pool entry expired: ask the policy whether (and when) to spawn
-        a sandbox ahead of the predicted next arrival."""
-        env = self.kernel.env
-        when = self.keepalive.prewarm_at(function, env.now)
-        if when is None or not self._in_service:
-            return
-        self.keepalive.pending_prewarms += 1
-
-        def prewarm():
-            try:
-                yield env.timeout(max(0.0, when - env.now))
-                if not self._in_service or self._pool[function]:
-                    return  # shut down, or an arrival already re-parked
-                profile = self.profiles[function]
-                approach = self.approaches[function]
-                self._vm_seq += 1
-                vm_id = f"{function}-prewarm-{self._vm_seq}"
-                try:
-                    vm = yield from approach.spawn(profile, vm_id=vm_id)
-                except IOError:
-                    return  # media error: abandon the speculative spawn
-                self._m_prewarms.inc()
-                ttl = self.keepalive.ttl(function)
-                if ttl is not None and self._in_service:
-                    self._park(vm, function, ttl)
-                else:
-                    vm.teardown()
-            finally:
-                self.keepalive.pending_prewarms -= 1
-
-        env.process(prewarm(), name=f"prewarm-{function}")
+    def _teardown(self, vm: MicroVM) -> None:
+        vm.teardown()
 
     # -- workload driver ----------------------------------------------------------------
     def run(self, arrivals: list[Arrival]) -> NodeReport:
@@ -365,12 +317,7 @@ class FaaSNode:
         counts it as rebalance evictions).  In-flight attempts finish in
         the background against the empty cache.
         """
-        self._in_service = False
-        for pool in self._pool.values():
-            for vm in list(pool):
-                vm._parked = False
-                vm.teardown()
-            pool.clear()
+        self.close_pool()
         if self.kernel.snapstore is not None:
             # Decommission the local tier and release this node's
             # snapshot references; chunks still referenced by other
@@ -379,7 +326,3 @@ class FaaSNode:
             self.kernel.snapstore.drop_local()
             self.kernel.snapstore.release_all()
         return self.kernel.drop_caches()
-
-    # -- introspection ---------------------------------------------------------------------
-    def pooled_sandboxes(self, function: str) -> int:
-        return len(self._pool[function])

@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 
 from repro.faults.retry import RetryPolicy
+from repro.metrics.registry import MetricsRegistry
 from repro.sim import Environment, Event
 from repro.snapstore.chunks import (ChunkRegistry, Manifest,
                                     build_derived_manifest, build_manifest)
@@ -52,7 +53,7 @@ class SnapStore:
     def __init__(self, env: Environment, spec: SnapStoreSpec, *,
                  chunks: ChunkRegistry | None = None,
                  remote: RemoteObjectStore | None = None,
-                 metrics=None):
+                 metrics: MetricsRegistry | None = None):
         self.env = env
         self.spec = spec
         # NB: `is not None`, not truthiness — a shared registry arrives
@@ -83,20 +84,15 @@ class SnapStore:
         #: may stall or fail (feeding the retry ladder below).
         self.fault_injector = None
         self.retry_policy = RetryPolicy()
-        self._init_metrics(metrics)
+        self._init_metrics(metrics if metrics is not None
+                           else MetricsRegistry())
 
-    def _init_metrics(self, registry) -> None:
-        """Publish ``snapstore_*`` on the host registry.  Created only
-        when a store is installed, so storeless runs keep their exact
-        historical metric key sets (identity contract)."""
+    def _init_metrics(self, registry: MetricsRegistry) -> None:
+        """Publish ``snapstore_*`` on the host registry (a store built
+        without one gets a private registry).  Created only when a store
+        is installed, so storeless runs keep their exact historical
+        metric key sets (identity contract)."""
         self.metrics = registry
-        if registry is None:
-            self._m_local_hits = self._m_hdd_hits = None
-            self._m_remote_fetches = self._m_remote_bytes = None
-            self._m_staged = self._m_demotions = None
-            self._m_retries = self._m_degraded = None
-            self._h_remote_latency = None
-            return
         c = registry.counter
         self._m_local_hits = c(
             "snapstore_chunk_hits_local_total",
@@ -272,8 +268,7 @@ class SnapStore:
             # durable remotely, so demotion charges no device time.
             self._on_hdd[cid] = nbytes
             self.hdd_bytes += nbytes
-        if self._m_demotions is not None:
-            self._m_demotions.inc()
+        self._m_demotions.inc()
 
     def drop_local(self) -> int:
         """Drop the whole local tier (node decommission); returns the
@@ -307,7 +302,7 @@ class SnapStore:
             elif cid not in seen:
                 seen.add(cid)
                 cold.append((cid, manifest.chunk_nbytes(index)))
-        if hits and self._m_local_hits is not None:
+        if hits:
             self._m_local_hits.inc(hits)
         return cold or None
 
@@ -400,16 +395,14 @@ class SnapStore:
             policy = self.retry_policy
             if policy.should_retry(attempt,
                                    getattr(error, "transient", True)):
-                if self._m_retries is not None:
-                    self._m_retries.inc()
+                self._m_retries.inc()
                 yield env.timeout(policy.backoff(attempt))
                 continue
             if source == "remote" and self.hdd is not None and all(
                     cid in self._on_hdd for _o, _n, cid, _e in run):
                 # Remote unreachable but a surviving local tier holds
                 # every chunk: degrade to it instead of failing.
-                if self._m_degraded is not None:
-                    self._m_degraded.inc(len(run))
+                self._m_degraded.inc(len(run))
                 yield from self._fetch("hdd", run, prio)
                 return
             for _offset, _nbytes, cid, event in run:
@@ -418,17 +411,15 @@ class SnapStore:
                     error, "transient", True)))
             raise error
         if source == "remote":
-            if self._m_remote_fetches is not None:
-                self._m_remote_fetches.inc()
-                self._m_remote_bytes.inc(nbytes)
-                self._h_remote_latency.observe(env.now - start)
-        elif self._m_hdd_hits is not None:
+            self._m_remote_fetches.inc()
+            self._m_remote_bytes.inc(nbytes)
+            self._h_remote_latency.observe(env.now - start)
+        else:
             self._m_hdd_hits.inc(len(run))
         for _offset, chunk_nbytes, cid, event in run:
             self._inflight.pop(cid, None)
             self._make_local(cid, chunk_nbytes)
-            if self._m_staged is not None:
-                self._m_staged.inc()
+            self._m_staged.inc()
             event.succeed()
 
     # -- reporting ----------------------------------------------------------
@@ -446,16 +437,15 @@ class SnapStore:
         }
         if self.hdd is not None:
             extras["snapstore_hdd_bytes"] = float(self.hdd_bytes)
-        if self.metrics is not None:
-            for key in ("snapstore_remote_fetches_total",
-                        "snapstore_remote_fetch_bytes_total",
-                        "snapstore_staged_chunks_total",
-                        "snapstore_demotions_total",
-                        "snapstore_fetch_retries_total",
-                        "snapstore_degraded_fetches_total"):
-                value = self.metrics.get(key).value
-                if value:
-                    extras[key.removesuffix("_total")] = float(value)
+        for key in ("snapstore_remote_fetches_total",
+                    "snapstore_remote_fetch_bytes_total",
+                    "snapstore_staged_chunks_total",
+                    "snapstore_demotions_total",
+                    "snapstore_fetch_retries_total",
+                    "snapstore_degraded_fetches_total"):
+            value = self.metrics.get(key).value
+            if value:
+                extras[key.removesuffix("_total")] = float(value)
         return extras
 
     def occupancy(self) -> dict[str, float]:

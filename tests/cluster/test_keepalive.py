@@ -114,9 +114,9 @@ def test_make_keepalive_policy():
 
 # -- node integration: learned-TTL expiry boundary ---------------------------
 
-def run_node(extra_arrivals=(), keepalive=None, warm_pool_ttl=None):
+def run_node(extra_arrivals=(), keepalive=None):
     node = FaaSNode(make_kernel(), "snapbpf", [tiny_profile()],
-                    warm_pool_ttl=warm_pool_ttl, keepalive=keepalive)
+                    keepalive=keepalive)
     arrivals = [Arrival(i * GAP, "alpha", 0) for i in range(5)]
     arrivals += [Arrival(t, "alpha", 0) for t in extra_arrivals]
     return node.run(arrivals)
@@ -165,7 +165,7 @@ def test_histogram_with_huge_min_samples_matches_fixed():
     frozen = HistogramKeepAlivePolicy(default_ttl=GAP, min_samples=10**6,
                                       prewarm=False)
     a = run_node((11.0, 14.5), keepalive=frozen)
-    b = run_node((11.0, 14.5), warm_pool_ttl=GAP)
+    b = run_node((11.0, 14.5), keepalive=FixedTTLPolicy(GAP))
     assert ([(r.cold, r.latency) for r in a.results]
             == [(r.cold, r.latency) for r in b.results])
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.keepalive import FixedTTLPolicy
 from repro.harness.experiment import make_kernel
 from repro.platform.node import FaaSNode, NodeReport, RequestResult
 from repro.platform.workload import Arrival, poisson_arrivals
@@ -21,7 +22,8 @@ def profiles():
 
 
 def make_node(profiles, approach="snapbpf", ttl=None):
-    return FaaSNode(make_kernel(), approach, profiles, warm_pool_ttl=ttl)
+    return FaaSNode(make_kernel(), approach, profiles,
+                    keepalive=FixedTTLPolicy(ttl))
 
 
 def test_every_request_served(profiles):

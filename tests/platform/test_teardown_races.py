@@ -34,7 +34,7 @@ def test_dead_space_install_is_noop(kernel):
 
 def test_reap_node_does_not_leak_after_teardown():
     profile = big_ws_quick_compute()
-    node = FaaSNode(make_kernel(), "reap", [profile], warm_pool_ttl=None)
+    node = FaaSNode(make_kernel(), "reap", [profile])
     report = node.run([Arrival(0.0, "racer", 0),
                        Arrival(0.05, "racer", 0)])
     assert len(report.results) == 2
@@ -45,8 +45,7 @@ def test_reap_node_does_not_leak_after_teardown():
 
 def test_faasnap_node_does_not_leak_after_teardown():
     profile = big_ws_quick_compute()
-    node = FaaSNode(make_kernel(), "faasnap", [profile],
-                    warm_pool_ttl=None)
+    node = FaaSNode(make_kernel(), "faasnap", [profile])
     node.run([Arrival(0.0, "racer", 0)])
     assert node.kernel.frames.counters.anon == 0
 

@@ -4,6 +4,7 @@ The reproduction's claims rest on deterministic replay — every figure
 assertion assumes reruns agree bit-for-bit.
 """
 
+from repro.cluster.keepalive import FixedTTLPolicy
 from repro.harness.experiment import make_kernel, run_scenario
 from repro.harness.spec import ScenarioSpec
 from repro.platform import FaaSNode, poisson_arrivals
@@ -45,7 +46,8 @@ def test_scenario_determinism_all_approaches():
 def test_node_determinism():
     def run():
         p = profile()
-        node = FaaSNode(make_kernel(), "snapbpf", [p], warm_pool_ttl=1.0)
+        node = FaaSNode(make_kernel(), "snapbpf", [p],
+                        keepalive=FixedTTLPolicy(1.0))
         arrivals = poisson_arrivals([(p, 4.0)], duration=3.0, seed=5)
         report = node.run(arrivals)
         return [(r.function, r.arrival_time, r.latency, r.cold)
