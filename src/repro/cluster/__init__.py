@@ -17,7 +17,6 @@ from repro.cluster.spec import ClusterSpec
 __all__ = [
     "ClusterAutoscaler",
     "ClusterReport",
-    "ClusterRequestResult",
     "ClusterSpec",
     "Gateway",
     "ROUTING_POLICIES",
@@ -32,7 +31,6 @@ __all__ = [
 _LAZY = {
     "ClusterAutoscaler": "repro.cluster.autoscaler",
     "ClusterReport": "repro.cluster.runner",
-    "ClusterRequestResult": "repro.cluster.gateway",
     "Gateway": "repro.cluster.gateway",
     "cluster_profiles": "repro.cluster.runner",
     "run_cluster": "repro.cluster.runner",

@@ -7,6 +7,12 @@ absorbs node crashes: a request whose node dies mid-flight is
 re-routed — with a fresh attempt — to a surviving node, so faults
 degrade latency, never lose requests.
 
+A request's record is the node's: :meth:`Gateway.submit` writes its own
+latency (routing waits and reroutes included), the serving node's id
+and the reroute count onto the
+:class:`~repro.platform.node.RequestResult` the node returned, and
+builds a record only for a request no node could take ("unroutable").
+
 Determinism: nodes are kept in an insertion-ordered dict keyed by a
 monotonically assigned ``node_id``; routable listings are sorted by id;
 in-flight processes are tracked in lists (insertion order), so crash
@@ -17,10 +23,8 @@ from the per-node kernel registries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.metrics.registry import MetricsRegistry
-from repro.platform.node import FaaSNode
+from repro.platform.node import FaaSNode, RequestResult
 from repro.platform.workload import Arrival
 from repro.sim import Environment, Interrupt
 
@@ -38,24 +42,6 @@ CRASHED = "crashed"     # killed mid-run
 #: and how long it keeps trying before giving up as "unroutable".
 ROUTE_RETRY_SECONDS = 0.05
 ROUTE_WAIT_LIMIT = 30.0
-
-
-@dataclass
-class ClusterRequestResult:
-    """Outcome of one request against the whole cluster."""
-
-    function: str
-    arrival_time: float
-    latency: float
-    cold: bool
-    node_id: int
-    #: "ok", "timeout", "failed" (per-node meanings), or "unroutable"
-    #: (no routable node appeared within the wait limit).
-    status: str = "ok"
-    #: Times this request was re-routed because its node crashed.
-    reroutes: int = 0
-    #: Cold-start retries the serving node performed (EIO ladder).
-    retries: int = 0
 
 
 class ClusterNode:
@@ -84,13 +70,9 @@ class ClusterNode:
         return self.state in (BOOTING, UP, DRAINING)
 
     def snapshot_residency(self, function: str) -> int:
-        """Pages of ``function``'s snapshot file resident in this node's
-        page cache (the per-ino counters the memory plane keeps)."""
-        approach = self.node.approaches.get(function)
-        snapshot = getattr(approach, "snapshot", None)
-        if snapshot is None:
-            return 0
-        return self.node.kernel.page_cache.cached_pages(snapshot.file.ino)
+        """Pages of ``function``'s snapshot resident on this node, as
+        the node model counts them."""
+        return self.node.snapshot_residency(function)
 
 
 class Gateway:
@@ -232,7 +214,7 @@ class Gateway:
         return chosen
 
     def submit(self, arrival: Arrival):
-        """Generator: serve one request; returns a ClusterRequestResult.
+        """Generator: serve one request; returns its RequestResult.
 
         ``arrival`` needs only a ``time`` and a ``function`` (an
         ``Arrival``, or a traffic ``Invocation`` as it is).  A crash of
@@ -252,10 +234,12 @@ class Gateway:
             except RoutingError:
                 if env.now - start >= ROUTE_WAIT_LIMIT:
                     self._failures.inc()
-                    return ClusterRequestResult(
+                    return RequestResult(
                         function=arrival.function,
                         arrival_time=arrival.time,
-                        latency=env.now - start, cold=False, node_id=-1,
+                        latency=env.now - start, cold=False,
+                        # An Invocation has none; a replay node says 0.
+                        input_seed=getattr(arrival, "input_seed", 0),
                         status="unroutable", reroutes=reroutes)
                 yield env.timeout(ROUTE_RETRY_SECONDS)
                 continue
@@ -285,10 +269,11 @@ class Gateway:
             self._timeouts.inc()
         elif result.status == "failed":
             self._failures.inc()
-        return ClusterRequestResult(
-            function=arrival.function, arrival_time=arrival.time,
-            latency=latency, cold=result.cold, node_id=cnode.node_id,
-            status=result.status, reroutes=reroutes, retries=result.retries)
+        # The node built this record for this request alone.
+        result.latency = latency
+        result.node_id = cnode.node_id
+        result.reroutes = reroutes
+        return result
 
     # -- end-of-run ---------------------------------------------------------
     def finalize(self) -> None:

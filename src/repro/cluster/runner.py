@@ -6,6 +6,11 @@ and metrics registry) in the :class:`~repro.cluster.fleet.Fleet`
 build-out it shares with ``run_traffic``: ONE shared DES environment
 behind one gateway.  It routes a Poisson arrival stream through the
 gateway, optionally crashes nodes, and returns a :class:`ClusterReport`.
+Its requests take ``FaaSNode.run``'s path: the eager driver
+:func:`~repro.platform.workload.start_arrivals`, one
+:class:`~repro.platform.node.RequestResult` each, and
+:class:`~repro.platform.node.NodeReport`'s exact statistics, which
+:class:`ClusterReport` extends with the fleet's facts.
 ``run_cluster_scenario(spec)`` wraps that into the standard
 :class:`~repro.metrics.results.ScenarioResult` shape (per-cluster
 counters in ``extra``, cluster registry snapshot in ``metrics``) so the
@@ -20,19 +25,16 @@ count, which the store-replay tests pin.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field, replace
 
 from repro.harness.experiment import make_kernel
-from repro.metrics.registry import nearest_rank
 from repro.metrics.results import ScenarioResult
 from repro.mm.kernel import Kernel
-from repro.platform.node import FaaSNode
-from repro.platform.workload import poisson_arrivals
+from repro.platform.node import FaaSNode, NodeReport
+from repro.platform.workload import poisson_arrivals, start_arrivals
 from repro.trace import Tracer
 
 from repro.cluster.fleet import Fleet
-from repro.cluster.gateway import ClusterRequestResult
 
 #: How often the fault plane rolls a crash die per routable node.
 CRASH_CHECK_INTERVAL = 0.25
@@ -59,17 +61,17 @@ def cluster_profiles(base, n_functions: int):
 
 
 @dataclass
-class ClusterReport:
-    """Everything one cluster run produced."""
+class ClusterReport(NodeReport):
+    """Everything one cluster run produced: the requests' exact
+    statistics (inherited) and the fleet's facts."""
 
     policy: str
-    results: list[ClusterRequestResult]
     #: (time, routable node count) after every membership change.
     node_timeline: list[tuple[float, float]]
     #: Cluster-registry snapshot (cluster_* plus node_* rollups).
     metrics: dict[str, float] = field(default_factory=dict)
-    #: Fleet-wide kernel aggregates (summed over every node ever built).
-    peak_memory_bytes: int = 0
+    #: Fleet-wide kernel aggregates (summed over every node ever built;
+    #: ``peak_memory_bytes`` too).
     end_memory_bytes: int = 0
     device_requests: int = 0
     device_bytes_read: int = 0
@@ -78,59 +80,6 @@ class ClusterReport:
     #: Workload window (arrival base time and final drain time).
     start_time: float = 0.0
     end_time: float = 0.0
-
-    # -- summaries ----------------------------------------------------------
-    @property
-    def requests(self) -> int:
-        return len(self.results)
-
-    @property
-    def served(self) -> list[ClusterRequestResult]:
-        return [r for r in self.results if r.status != "unroutable"]
-
-    @property
-    def cold_starts(self) -> int:
-        return sum(1 for r in self.served if r.cold)
-
-    @property
-    def warm_starts(self) -> int:
-        return len(self.served) - self.cold_starts
-
-    @property
-    def cold_ratio(self) -> float:
-        served = len(self.served)
-        return self.cold_starts / served if served else 0.0
-
-    @property
-    def completed(self) -> int:
-        return sum(1 for r in self.results if r.status == "ok")
-
-    @property
-    def timeouts(self) -> int:
-        return sum(1 for r in self.results if r.status == "timeout")
-
-    @property
-    def failures(self) -> int:
-        return sum(1 for r in self.results
-                   if r.status in ("failed", "unroutable"))
-
-    @property
-    def reroutes(self) -> int:
-        return sum(r.reroutes for r in self.results)
-
-    def latencies(self) -> list[float]:
-        return [r.latency for r in self.served]
-
-    def mean_latency(self) -> float:
-        values = self.latencies()
-        return statistics.fmean(values) if values else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile of served-request latencies."""
-        values = sorted(self.latencies())
-        if not values:
-            return 0.0
-        return values[nearest_rank(len(values), p)]
 
     def per_node_served(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -271,13 +220,7 @@ def run_cluster(spec, fault_config=None, fault_seed: int = 0,
         [(p, cspec.rate_per_function) for p in profiles],
         cspec.duration, seed=spec.input_seed, vary_inputs=spec.vary_inputs)
 
-    def request(arrival):
-        yield env.timeout(max(0.0, base + arrival.time - env.now))
-        result = yield from gateway.submit(arrival)
-        return result
-
-    processes = [env.process(request(a), name=f"creq-{i}")
-                 for i, a in enumerate(arrivals)]
+    processes = start_arrivals(env, arrivals, gateway.submit, base)
     fleet.drain(env.all_of(processes))
 
     # Roll per-node degradation counters up into the cluster registry so
@@ -361,14 +304,7 @@ def run_cluster_scenario(spec) -> ScenarioResult:
     every cluster-level statistic rides in ``extra`` as floats and the
     cluster registry snapshot in ``metrics`` — the exact-JSON-round-trip
     contract the warm result store depends on.
-
-    A spec whose cluster carries a :class:`~repro.workloads.traffic.
-    TrafficSpec` dispatches to the traffic plane (modeled-fidelity
-    nodes, production-shaped load) instead of the page-level fleet.
     """
-    if spec.cluster is not None and spec.cluster.traffic is not None:
-        from repro.cluster.traffic import run_traffic_scenario
-        return run_traffic_scenario(spec)
     report = run_cluster(spec)
     extra = {
         "cluster_requests": float(report.requests),

@@ -99,7 +99,8 @@ class TrafficNode(WarmPool):
 
     Duck-types the :class:`~repro.platform.node.FaaSNode` surface the
     gateway and autoscaler drive — ``handle`` / ``prepare`` /
-    ``shutdown`` / ``approaches`` — with a bounded-concurrency server:
+    ``shutdown`` / ``snapshot_residency`` — with a bounded-concurrency
+    server:
     ``slots`` invocations run at once, excess requests queue FIFO (the
     queueing delay is what pushes p99.9 E2E under bursts).  The warm
     pool is the :class:`~repro.cluster.keepalive.WarmPool` a page-level
@@ -123,8 +124,6 @@ class TrafficNode(WarmPool):
         self.shapes = shapes
         self.times = times
         self.slots = slots
-        #: Gateway residency probes find no snapshot -> residency 0.
-        self.approaches: dict = {}
         self.prepared = False
         self._active = 0
         self._waiters: deque = deque()
@@ -143,6 +142,9 @@ class TrafficNode(WarmPool):
 
     def shutdown(self) -> int:
         self.close_pool()
+        return 0  # no page cache at modeled fidelity
+
+    def snapshot_residency(self, function: str) -> int:
         return 0  # no page cache at modeled fidelity
 
     # -- bounded concurrency -------------------------------------------------
@@ -360,20 +362,17 @@ def run_traffic(spec, tracer: Tracer | None = None,
 
     fleet.publish()
 
-    # Totals from the gateway's counters.  An unroutable request is a
-    # failure that the gateway counts neither cold nor warm; the report
-    # counts it warm (requests - cold), as the pinned extras always have.
+    # Totals from the gateway's counters.
     metrics = registry.snapshot()
     requests = int(metrics["cluster_requests_total"])
-    cold = int(metrics["cluster_cold_starts_total"])
     timeouts = int(metrics["cluster_request_timeouts_total"])
     failures = int(metrics["cluster_request_failures_total"])
     report = TrafficReport(
         policy=cspec.policy,
         keepalive=cspec.keepalive,
         invocations=state["submitted"],
-        cold_starts=cold,
-        warm_starts=requests - cold,
+        cold_starts=int(metrics["cluster_cold_starts_total"]),
+        warm_starts=int(metrics["cluster_warm_starts_total"]),
         completed=requests - timeouts - failures,
         timeouts=timeouts,
         failures=failures,

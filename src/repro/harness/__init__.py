@@ -5,7 +5,12 @@ from repro.harness.chaos import (
     render_chaos,
     run_chaos_scenario,
 )
-from repro.harness.experiment import ResultCache, make_kernel, run_scenario
+from repro.harness.experiment import (
+    ResultCache,
+    execute_spec,
+    make_kernel,
+    run_scenario,
+)
 from repro.harness.figures import (
     CONCURRENT_INSTANCES,
     FIGURES,
@@ -17,12 +22,7 @@ from repro.harness.figures import (
 )
 from repro.harness.report import render_figure, render_table, render_table1
 from repro.harness.spec import SCHEMA_VERSION, ScenarioSpec
-from repro.harness.sweep import (
-    ResultStore,
-    SweepRunner,
-    SweepStats,
-    execute_spec,
-)
+from repro.harness.sweep import ResultStore, SweepRunner, SweepStats
 
 __all__ = [
     "CONCURRENT_INSTANCES",

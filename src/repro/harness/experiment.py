@@ -9,6 +9,9 @@ inputs) and measure per-sandbox E2E latency and system-wide peak memory.
 
 from __future__ import annotations
 
+import gc
+import random
+
 from repro.baselines.base import Approach, approach_registry
 from repro.harness.spec import ScenarioSpec, stable_hash
 from repro.metrics.registry import MetricsRegistry
@@ -80,14 +83,42 @@ def run_scenario(spec: ScenarioSpec, *,
             plane = "cluster" if spec.cluster is not None else "chaos"
             raise TypeError(f"{plane} scenarios build their own hosts; "
                             f"the kernel argument is not usable")
-        # Deferred imports: both runners compose the platform stack on
+        # Deferred imports: the runners compose the platform stack on
         # top of this module's layer.
         if spec.chaos is not None:
             from repro.harness.chaos import run_chaos_scenario
             return run_chaos_scenario(spec)
+        if spec.cluster.traffic is not None:
+            from repro.cluster.traffic import run_traffic_scenario
+            return run_traffic_scenario(spec)
         from repro.cluster.runner import run_cluster_scenario
         return run_cluster_scenario(spec)
     return _run_scenario(spec, kernel)
+
+
+def execute_spec(spec: ScenarioSpec) -> ScenarioResult:
+    """Run one scenario as a cell: deterministically seeded, with the
+    cyclic garbage collector paused.  The sweep's workers and
+    :meth:`ResultCache.get` run every cell through it.
+
+    The simulation derives every random choice from the spec already;
+    re-seeding the global RNG from the spec hash is hygiene that keeps a
+    stray ``random.random()`` anywhere in the stack from making results
+    depend on execution order or worker identity.
+
+    The collector's state is restored afterwards.  A cell's hosts close
+    themselves (``Kernel.close``), so reference counting frees them and
+    the collector has nothing to find; left on, it would only re-scan
+    the live simulation heap, over and over.
+    """
+    random.seed(spec.seed_material())
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return run_scenario(spec)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _run_scenario(spec: ScenarioSpec,
@@ -329,7 +360,7 @@ class ResultCache:
         self._requests.inc()
         result = self.lookup(spec)
         if result is None:
-            result = run_scenario(spec)
+            result = execute_spec(spec)
             self._executed.inc()
             self.insert(spec, result)
         return result

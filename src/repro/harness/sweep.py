@@ -40,7 +40,6 @@ transient and earn retries.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import os
@@ -58,7 +57,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.faults.retry import RetryPolicy
 from repro.faults.sweep import WorkerCrashError, apply_worker_fault
-from repro.harness.experiment import ResultCache, run_scenario
+from repro.harness.experiment import ResultCache, execute_spec
 from repro.harness.spec import SCHEMA_VERSION, ScenarioSpec
 from repro.metrics.results import ScenarioResult
 
@@ -170,30 +169,6 @@ class ResultStore:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))
-
-
-def execute_spec(spec: ScenarioSpec) -> ScenarioResult:
-    """Worker entrypoint: run one scenario, deterministically seeded.
-
-    The simulation derives every random choice from the spec already;
-    re-seeding the global RNG from the spec hash is hygiene that keeps a
-    stray ``random.random()`` anywhere in the stack from making results
-    depend on execution order or worker identity.
-
-    The cell runs with the cyclic garbage collector paused, and the
-    collector's state is restored afterwards.  A cell's hosts close
-    themselves (``Kernel.close``), so reference counting frees them and
-    the collector has nothing to find; left on, it would only re-scan
-    the live simulation heap, over and over.
-    """
-    random.seed(spec.seed_material())
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return run_scenario(spec)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _supervised_cell(payload) -> ScenarioResult:

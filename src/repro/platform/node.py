@@ -16,6 +16,11 @@ sandbox ahead of the predicted next arrival after a pool entry expires,
 charging the cold start to the node instead of a request.  The node
 itself only says how a pre-warmed ``MicroVM`` is spawned (through the
 function's approach) and torn down.
+
+One request path: :meth:`FaaSNode.run` and a fleet's ``run_cluster``
+share the eager driver :func:`~repro.platform.workload.start_arrivals`,
+the :class:`RequestResult` record (a gateway writes its latency, node
+and reroutes onto it) and :class:`NodeReport`'s exact statistics.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from repro.baselines.base import Approach, approach_registry
 from repro.cluster.keepalive import FixedTTLPolicy, KeepAlivePolicy, WarmPool
 from repro.metrics.registry import nearest_rank
 from repro.mm.kernel import Kernel
-from repro.platform.workload import Arrival
+from repro.platform.workload import Arrival, start_arrivals
 from repro.units import USEC
 from repro.vmm.microvm import MicroVM
 from repro.workloads.profile import FunctionProfile
@@ -39,38 +44,61 @@ WARM_RESUME_SECONDS = 400 * USEC
 
 @dataclass
 class RequestResult:
-    """Outcome of one request against the node."""
+    """Outcome of one request, served by a node on its own or through a
+    fleet's gateway."""
 
     function: str
     arrival_time: float
     latency: float
     cold: bool
     input_seed: int
-    #: "ok", "timeout" (request deadline expired), or "failed" (EIO
-    #: survived the cold-start retry).
+    #: "ok", "timeout" (request deadline expired), "failed" (EIO
+    #: survived the cold-start retry), or "unroutable" (no routable node
+    #: appeared within the gateway's wait limit).
     status: str = "ok"
     #: Cold-start retries this request needed (0 or 1).
     retries: int = 0
+    #: The fleet node that served it (-1: no gateway, or unroutable).
+    node_id: int = -1
+    #: Times the gateway re-routed it because its node crashed.
+    reroutes: int = 0
 
 
 @dataclass
 class NodeReport:
-    """Aggregate outcome of a workload run."""
+    """Aggregate outcome of a workload run, exact over its records.
+
+    Latency statistics and start counts cover the served requests (all
+    but "unroutable" ones); a statistic over no request is 0.0.
+    """
 
     results: list[RequestResult]
     peak_memory_bytes: int
 
+    @property
+    def requests(self) -> int:
+        return len(self.results)
+
+    @property
+    def served(self) -> list[RequestResult]:
+        return [r for r in self.results if r.status != "unroutable"]
+
     def latencies(self, cold: bool | None = None) -> list[float]:
-        return [r.latency for r in self.results
+        return [r.latency for r in self.served
                 if cold is None or r.cold == cold]
 
     @property
     def cold_starts(self) -> int:
-        return sum(1 for r in self.results if r.cold)
+        return sum(1 for r in self.served if r.cold)
 
     @property
     def warm_starts(self) -> int:
-        return len(self.results) - self.cold_starts
+        return len(self.served) - self.cold_starts
+
+    @property
+    def cold_ratio(self) -> float:
+        served = len(self.served)
+        return self.cold_starts / served if served else 0.0
 
     def percentile(self, p: float, cold: bool | None = None) -> float:
         """Nearest-rank percentile: the smallest value with at least
@@ -78,11 +106,12 @@ class NodeReport:
         samples is the 5th value, index 4 — not index 5)."""
         values = sorted(self.latencies(cold))
         if not values:
-            raise ValueError("no matching requests")
+            return 0.0
         return values[nearest_rank(len(values), p)]
 
     def mean_latency(self, cold: bool | None = None) -> float:
-        return statistics.fmean(self.latencies(cold))
+        values = self.latencies(cold)
+        return statistics.fmean(values) if values else 0.0
 
     # -- fault plane --------------------------------------------------------
     @property
@@ -95,20 +124,16 @@ class NodeReport:
 
     @property
     def failures(self) -> int:
-        return sum(1 for r in self.results if r.status == "failed")
+        return sum(1 for r in self.results
+                   if r.status in ("failed", "unroutable"))
 
     @property
     def request_retries(self) -> int:
         return sum(r.retries for r in self.results)
 
-    def fault_summary(self) -> dict[str, int]:
-        """Degradation counters for the harness report."""
-        return {
-            "completed": self.completed,
-            "request_retries": self.request_retries,
-            "timeouts": self.timeouts,
-            "failures": self.failures,
-        }
+    @property
+    def reroutes(self) -> int:
+        return sum(r.reroutes for r in self.results)
 
 
 class FaaSNode(WarmPool):
@@ -139,7 +164,7 @@ class FaaSNode(WarmPool):
         self.prepared = False
         # Degradation counters, published on the machine's registry so
         # node-level health shows up in the same Prometheus exposition
-        # as reclaim_* / sweep_* (names mirror NodeReport.fault_summary).
+        # as reclaim_* / sweep_* (names mirror NodeReport's counts).
         metrics = kernel.metrics
         self._m_requests = metrics.counter(
             "node_requests_total", "requests handled by this host")
@@ -292,21 +317,22 @@ class FaaSNode(WarmPool):
         env = self.kernel.env
         if not self.prepared:
             env.run(env.process(self.prepare(), name="node-prepare"))
-        base = env.now
-
-        def request(arrival: Arrival):
-            yield env.timeout(max(0.0, base + arrival.time - env.now))
-            result = yield from self.handle(arrival)
-            return result
-
-        processes = [env.process(request(a), name=f"req-{i}")
-                     for i, a in enumerate(arrivals)]
+        processes = start_arrivals(env, arrivals, self.handle, env.now)
         env.run(env.all_of(processes))
         env.run()  # drain reapers
 
         return NodeReport(
             results=[p.value for p in processes],
             peak_memory_bytes=self.kernel.frames.peak_bytes)
+
+    def snapshot_residency(self, function: str) -> int:
+        """Pages of ``function``'s snapshot file resident in this host's
+        page cache (the per-ino counters the memory plane keeps): what
+        snapshot-locality routing reads."""
+        snapshot = getattr(self.approaches.get(function), "snapshot", None)
+        if snapshot is None:
+            return 0
+        return self.kernel.page_cache.cached_pages(snapshot.file.ino)
 
     def shutdown(self) -> int:
         """Take the host out of service: tear down every parked sandbox

@@ -1,4 +1,12 @@
-"""Request workloads for the node simulation."""
+"""Request workloads for the node simulation, and their eager driver.
+
+:func:`poisson_arrivals` samples a function mix into a list of
+:class:`Arrival` records; :func:`start_arrivals` turns such a list into
+request processes.  Both page-level request paths, ``FaaSNode.run``
+(one host) and ``run_cluster`` (a fleet behind a gateway), start their
+arrivals through it, so they schedule requests identically.  The
+traffic plane streams its invocations lazily instead (``run_traffic``).
+"""
 
 from __future__ import annotations
 
@@ -50,3 +58,18 @@ def poisson_arrivals(mix: list[tuple[FunctionProfile, float]],
                 input_seed=index if vary_inputs else 0))
     arrivals.sort(key=lambda a: (a.time, a.function))
     return arrivals
+
+
+def start_arrivals(env, arrivals, serve, base: float) -> list:
+    """Start every request up front: one process per arrival, named
+    ``req-{i}``, that waits until ``base + arrival.time`` and returns
+    what the generator ``serve(arrival)`` returns (a node's ``handle``
+    or a gateway's ``submit``).  Returns the processes in arrival
+    order."""
+
+    def request(arrival):
+        yield env.timeout(max(0.0, base + arrival.time - env.now))
+        return (yield from serve(arrival))
+
+    return [env.process(request(a), name=f"req-{i}")
+            for i, a in enumerate(arrivals)]

@@ -271,9 +271,12 @@ class Process(Event):
         callbacks = target.callbacks
         if callbacks is None:
             # Already processed: resume immediately at the current time.
+            # The re-delivery is the target, so an interrupt or abandon
+            # that comes first cancels it.
             immediate = Event(env)
             immediate._defused = True  # this process observes the outcome
             immediate.callbacks.append(self._resume)
+            self._target = immediate
             if target._ok:
                 immediate.succeed(target._value, priority=URGENT)
             else:

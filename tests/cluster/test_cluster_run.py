@@ -35,6 +35,22 @@ def test_every_request_is_served():
     assert sum(report.per_node_served().values()) == report.requests
 
 
+def test_records_keep_their_input_seed():
+    """A fleet request's record is the one its node built: with varied
+    inputs, each function's requests carry seeds 0..k-1 in arrival
+    order."""
+    spec = cluster_spec()
+    report = run_cluster(ScenarioSpec(function=spec.function,
+                                      approach="snapbpf", vary_inputs=True,
+                                      cluster=spec.cluster))
+    seeds: dict[str, list[int]] = {}
+    for r in report.results:
+        seeds.setdefault(r.function, []).append(r.input_seed)
+    assert len(seeds) == 2
+    for function_seeds in seeds.values():
+        assert function_seeds == list(range(len(function_seeds)))
+
+
 def test_rejects_non_cluster_spec():
     spec = ScenarioSpec(function=tiny_profile(), approach="snapbpf")
     with pytest.raises(ValueError, match="cluster"):
@@ -70,8 +86,7 @@ def test_cluster_metrics_exposed():
             == report.requests)
     assert m["cluster_nodes"] == 2.0
     assert 0.0 <= m["cluster_cold_start_ratio"] <= 1.0
-    # Per-node degradation counters roll up next to the cluster_* set
-    # (satellite: fault_summary counters in the text exposition).
+    # Per-node degradation counters roll up next to the cluster_* set.
     assert m["node_requests_total"] == report.requests
     assert m["node_requests_completed_total"] == report.completed
 

@@ -86,7 +86,8 @@ def test_memoized_choice_matches_fresh_policy(ops, overflow, seed):
 class StubNode:
     """The FaaSNode surface the gateway touches outside a request."""
 
-    approaches: dict = {}
+    def snapshot_residency(self, function: str) -> int:
+        return 0
 
     def shutdown(self) -> int:
         return 0

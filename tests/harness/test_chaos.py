@@ -117,12 +117,12 @@ def test_chaos_suite_replays_from_store(tmp_path, profile, monkeypatch):
     assert len(ResultStore(tmp_path)) == 1
 
     # A warm rerun must come purely from disk: poison the execution path.
-    import repro.harness.sweep as sweep_mod
+    import repro.harness.experiment as experiment_mod
 
     def explode(spec):
         raise AssertionError("warm suite must not simulate")
 
-    monkeypatch.setattr(sweep_mod, "run_scenario", explode)
+    monkeypatch.setattr(experiment_mod, "run_scenario", explode)
     warm_runner = SweepRunner(ResultCache(store=ResultStore(tmp_path)))
     warm = warm_runner.run(specs)
     assert warm_runner.last_stats.executed == 0

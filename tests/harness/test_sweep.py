@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from repro.harness import sweep
+from repro.harness import experiment
 from repro.harness.experiment import ResultCache, make_kernel, run_scenario
 from repro.harness.figures import build_figure, figure_specs, matrix_specs
 from repro.harness.report import render_figure
@@ -191,7 +191,8 @@ def test_execute_spec_is_deterministic(spec):
 def test_execute_spec_pauses_the_collector_and_restores_it(
         monkeypatch, spec, enabled, raises):
     """The cell runs with the collector off; afterwards the collector
-    is on or off as it was found, whether the cell returned or raised."""
+    is on or off as it was found, whether the cell returned or raised.
+    A cache miss (``ResultCache.get``) runs its cell the same way."""
     during = []
 
     def cell(spec):
@@ -200,18 +201,19 @@ def test_execute_spec_pauses_the_collector_and_restores_it(
             raise RuntimeError("cell failed")
         return "result"
 
-    monkeypatch.setattr(sweep, "run_scenario", cell)
-    (gc.enable if enabled else gc.disable)()
-    try:
-        if raises:
-            with pytest.raises(RuntimeError, match="cell failed"):
-                execute_spec(spec)
-        else:
-            assert execute_spec(spec) == "result"
-        assert gc.isenabled() is enabled
-    finally:
-        gc.enable()
-    assert during == [False]
+    monkeypatch.setattr(experiment, "run_scenario", cell)
+    for run in (execute_spec, lambda spec: ResultCache().get(spec)):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if raises:
+                with pytest.raises(RuntimeError, match="cell failed"):
+                    run(spec)
+            else:
+                assert run(spec) == "result"
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+    assert during == [False, False]
 
 
 def test_kernel_close_is_idempotent(spec):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.keepalive import FixedTTLPolicy
+from repro.cluster.runner import ClusterReport
 from repro.harness.experiment import make_kernel
 from repro.platform.node import FaaSNode, NodeReport, RequestResult
 from repro.platform.workload import Arrival, poisson_arrivals
@@ -99,18 +100,36 @@ def test_mixed_poisson_run_end_to_end(profiles):
     assert report.percentile(99) >= report.percentile(50)
 
 
+def nearest_rank_records():
+    return [RequestResult(function="alpha", arrival_time=0.0,
+                          latency=float(v), cold=True, input_seed=0)
+            for v in range(1, 11)]
+
+
 def test_percentile_nearest_rank_regression():
-    """Nearest-rank on 10 samples: p50 is the 5th value, not the 6th."""
-    results = [RequestResult(function="alpha", arrival_time=0.0,
-                             latency=float(v), cold=True, input_seed=0)
-               for v in range(1, 11)]
-    report = NodeReport(results=results, peak_memory_bytes=0)
-    assert report.percentile(50) == 5.0
-    assert report.percentile(95) == 10.0
-    assert report.percentile(99) == 10.0
-    assert report.percentile(10) == 1.0
-    assert report.percentile(0) == 1.0   # clamps below the first rank
-    assert report.percentile(100) == 10.0
+    """Nearest-rank on 10 samples: p50 is the 5th value, not the 6th.
+    A fleet report inherits the node report's statistics."""
+    records = nearest_rank_records()
+    for report in (NodeReport(results=records, peak_memory_bytes=0),
+                   ClusterReport(results=records, peak_memory_bytes=0,
+                                 policy="random", node_timeline=[])):
+        assert report.percentile(50) == 5.0
+        assert report.percentile(95) == 10.0
+        assert report.percentile(99) == 10.0
+        assert report.percentile(10) == 1.0
+        assert report.percentile(0) == 1.0   # clamps below the first rank
+        assert report.percentile(100) == 10.0
+
+
+def test_statistics_over_no_matching_request_are_zero():
+    """All-cold records have no warm sample: percentile and mean read
+    0.0, as a fleet report over no served request does."""
+    report = NodeReport(results=nearest_rank_records(), peak_memory_bytes=0)
+    assert report.percentile(50, cold=False) == 0.0
+    assert report.mean_latency(cold=False) == 0.0
+    empty = NodeReport(results=[], peak_memory_bytes=0)
+    assert empty.percentile(99) == 0.0
+    assert empty.mean_latency() == 0.0
 
 
 def test_degradation_counters_in_text_exposition(profiles):
@@ -119,16 +138,15 @@ def test_degradation_counters_in_text_exposition(profiles):
     report = node.run(arrivals)
     registry = node.kernel.metrics
     exposition = registry.text_exposition()
-    # fault_summary() counters surface as node_* metrics alongside the
-    # kernel's other series in one Prometheus text exposition.
+    # The report's outcome counts surface as node_* metrics alongside
+    # the kernel's other series in one Prometheus text exposition.
     assert "node_requests_total 4" in exposition
     assert "node_requests_completed_total 4" in exposition
     assert "node_cold_starts_total 1" in exposition
     assert "node_warm_starts_total 3" in exposition
     assert "node_request_timeouts_total 0" in exposition
     assert "node_request_failures_total 0" in exposition
-    summary = report.fault_summary()
-    assert registry.get("node_requests_completed_total").value == summary[
-        "completed"]
-    assert registry.get("node_request_retries_total").value == summary[
-        "request_retries"]
+    assert (registry.get("node_requests_completed_total").value
+            == report.completed)
+    assert (registry.get("node_request_retries_total").value
+            == report.request_retries)

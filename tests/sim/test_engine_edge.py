@@ -85,6 +85,38 @@ def test_process_waiting_on_failed_past_event(env):
     assert p.value == "old failure"
 
 
+def test_interrupt_cancels_pending_redelivery(env):
+    """Yielding a fired event schedules a re-delivery; an interrupt that
+    lands first must cancel it, not resume the next wait with it."""
+    from repro.sim.engine import Interrupt
+    fired = env.event()
+    fired.succeed("stale")
+    env.run()
+    out = []
+
+    def sleeper():
+        try:
+            yield env.timeout(1)
+        except Interrupt:
+            pass
+        try:
+            yield fired
+        except Interrupt:
+            pass
+        value = yield env.timeout(5, value="slept")
+        out.append((value, env.now))
+
+    def interrupter(target):
+        yield env.timeout(0)
+        target.interrupt("first")
+        target.interrupt("second")
+
+    proc = env.process(sleeper())
+    env.process(interrupter(proc))
+    env.run()
+    assert out == [("slept", 5.0)]
+
+
 def test_zero_delay_timeout(env):
     def proc():
         yield env.timeout(0)

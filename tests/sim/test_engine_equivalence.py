@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import types
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.sim.engine as engine
@@ -221,8 +221,23 @@ def simulate(ns, program) -> dict:
             "peek": env.peek()}
 
 
+#: p1 interrupts p0 twice in one step.  p0 handles the first interrupt
+#: and yields an already-fired event; the second interrupt must cancel
+#: that pending re-delivery, or it resumes p0's next timeout early.
+TWICE_INTERRUPTED = {
+    "capacities": [1, 1],
+    "procs": [
+        (0.0, [("trigger", 0, True, URGENT), ("timeout", 1.0),
+               ("wait", 0), ("timeout", 2.5)]),
+        (0.5, [("interrupt", 0), ("interrupt", 0)]),
+    ],
+    "checkpoints": [],
+}
+
+
 @settings(max_examples=300, deadline=None)
 @given(program=programs)
+@example(program=TWICE_INTERRUPTED)
 def test_lane_engine_matches_heap_reference(program):
     assert simulate(LANE, program) == simulate(HEAP, program)
 
